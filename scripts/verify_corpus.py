@@ -8,8 +8,6 @@ import argparse
 import time
 
 from crosstwist import (
-    PrimeField,
-    Rationals,
     apply_twist,
     builtin_corpus,
     check_brz_axioms,
@@ -21,21 +19,17 @@ from crosstwist import (
     specialize_ttp,
     verify_twist_result,
 )
-
-
-def field_from_spec(text):
-    if text == "rationals":
-        return Rationals()
-    if text.startswith("gf:"):
-        return PrimeField(int(text[3:]))
-    raise SystemExit(f"bad field spec {text!r}")
+from crosstwist.fields import FieldError, parse_field_spec
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--field", default="rationals")
     args = parser.parse_args()
-    field = field_from_spec(args.field)
+    try:
+        field = parse_field_spec(args.field)
+    except FieldError as exc:
+        parser.error(str(exc))
 
     print(f"field: {field.describe()}")
     header = f"{'instance':<18} {'dims':<6} {'brz':<5} {'twist':<7} {'gauge':<8} {'star':<7} time"

@@ -24,7 +24,7 @@ from .corpus import (
     quasi_bialgebra_violations,
 )
 from .crossed import CrossedData, InvalidDataError, build_crossed_product, check_brz_axioms
-from .fields import CharacteristicError, Field, FieldError, PrimeField, Rationals
+from .fields import CharacteristicError, Field, FieldError, Rationals, parse_field_spec
 from .io import DocumentError, SpecDocument, parse, report_to_json, serialize
 from .linmap import LinMap
 from .report import AxiomReport, format_check, merge
@@ -44,14 +44,10 @@ EXIT_INPUT = 2
 
 
 def _parse_field_flag(text: str) -> Field:
-    if text == "rationals":
-        return Rationals()
-    if text.startswith("gf:"):
-        try:
-            return PrimeField(int(text[3:]))
-        except (ValueError, FieldError) as exc:
-            raise argparse.ArgumentTypeError(f"bad field spec {text!r}: {exc}")
-    raise argparse.ArgumentTypeError(f"bad field spec {text!r} (use rationals or gf:<p>)")
+    try:
+        return parse_field_spec(text)
+    except FieldError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _load_document(args) -> SpecDocument:
@@ -228,7 +224,16 @@ def cmd_verify_iso(args) -> int:
         if not isinstance(obj, kind):
             raise DocumentError(f"$.objects.{key}", f"expected a {kind.__name__} object")
         values[key] = obj
-    prime = values["crossed_prime"]
+    crossed, prime = values["crossed"], values["crossed_prime"]
+    m, n = crossed.a.dim, crossed.v.dim
+    if (prime.a.dim, prime.v.dim) != (m, n):
+        raise DocumentError(
+            "$.objects.crossed_prime",
+            f"dims ({prime.a.dim}, {prime.v.dim}) do not match crossed ({m}, {n})",
+        )
+    for key in ("phi", "phi_inverse"):
+        if (values[key].domain_total, values[key].codomain_total) != (m * n, m * n):
+            raise DocumentError(f"$.objects.{key}", f"expected an endomorphism of ({m}, {n})")
     result = TwistResult(
         r_prime=prime.r,
         sigma_prime=prime.sigma,
@@ -236,7 +241,7 @@ def cmd_verify_iso(args) -> int:
         phi=values["phi"],
         phi_inverse=values["phi_inverse"],
     )
-    report = verify_twist_result(values["crossed"], result)
+    report = verify_twist_result(crossed, result)
     _print_report(args, [_report_result("crossed_prime", "stored_twist", report)])
     return EXIT_OK if report.passed else EXIT_FAILED
 
@@ -332,7 +337,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DocumentError, FileNotFoundError) as exc:
+    except (DocumentError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
 

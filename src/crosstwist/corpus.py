@@ -35,6 +35,7 @@ from .linmap import (
     maps_equal,
     reshape,
     tensor_map,
+    unflatten,
     vectors_equal,
 )
 from .twist import TheoremViolationError, TwistPair, trivial_pair
@@ -275,40 +276,46 @@ def module_algebra_violations(q: QuasiBialgebra, b: RightModuleAlgebra) -> list[
     if not maps_equal(compose(b.action, tensor_map(b.mult, id_h)), rhs):
         out.append("mult_action_compatible: (b b') . h != (b . h_1)(b' . h_2)")
 
-    reassoc = MapBuilder(field, (nb, nb, nb), (nb, nb, nb))
-    zero = field.zero()
-    phi_inv = q.associator_inverse
-    for flat in (i for i, x in enumerate(phi_inv) if x != zero):
-        p, qq, r = flat // (m * m), (flat // m) % m, flat % m
-        coeff = phi_inv[flat]
-        for j in range(nb):
-            col1 = tuple(b.action.matrix[u][j * m + p] for u in range(nb))
-            for k in range(nb):
-                col2 = tuple(b.action.matrix[u][k * m + qq] for u in range(nb))
-                for el in range(nb):
-                    col3 = tuple(b.action.matrix[u][el * m + r] for u in range(nb))
-                    col = (j * nb + k) * nb + el
-                    for u in range(nb):
-                        if col1[u] == zero:
-                            continue
-                        for v in range(nb):
-                            if col2[v] == zero:
-                                continue
-                            for w in range(nb):
-                                if col3[w] == zero:
-                                    continue
-                                reassoc.add(
-                                    (u * nb + v) * nb + w,
-                                    col,
-                                    field.mul(
-                                        field.mul(coeff, col1[u]),
-                                        field.mul(col2[v], col3[w]),
-                                    ),
-                                )
-    twisted = compose(b.mult, compose(tensor_map(id_b, b.mult), reassoc.build()))
+    reassoc = _leg_action(b, q.associator_inverse, lead=0, legs=3)
+    twisted = compose(b.mult, compose(tensor_map(id_b, b.mult), reassoc))
     if not maps_equal(compose(b.mult, tensor_map(b.mult, id_b)), twisted):
         out.append("assoc_twisted: (b b') b'' != (b . x1)((b' . x2)(b'' . x3))")
     return out
+
+
+def _leg_action(b: RightModuleAlgebra, elem: Sequence[Scalar], lead: int, legs: int) -> LinMap:
+    """The map B^(x)legs -> H^(x)lead (x) B^(x)legs given by an element x of
+    H^(x)(lead + legs): its last ``legs`` tensor legs act on the B factors one
+    by one, its first ``lead`` legs are kept as H coordinates.
+
+    Indices are row-major, as everywhere; only nonzero coefficients of x and
+    nonzero action entries are visited.
+    """
+    field = b.field
+    m, nb = b.acting_dim, b.dim
+    zero = field.zero()
+    acts = {
+        (j, q): [(u, c) for u, c in enumerate(b.action.column(j * m + q)) if c != zero]
+        for j in range(nb)
+        for q in range(m)
+    }
+    block = nb**legs
+    out = MapBuilder(field, (nb,) * legs, (m,) * lead + (nb,) * legs)
+    for flat, coeff in enumerate(elem):
+        if coeff == zero:
+            continue
+        head, tail = divmod(flat, m**legs)
+        terms = [(0, 0, coeff)]  # (domain index, codomain index in B^(x)legs, value)
+        for q in unflatten(tail, (m,) * legs):
+            terms = [
+                (col * nb + j, row * nb + u, field.mul(value, c))
+                for col, row, value in terms
+                for j in range(nb)
+                for u, c in acts[j, q]
+            ]
+        for col, row, value in terms:
+            out.add(head * block + row, col, value)
+    return out.build()
 
 
 def _require_valid(violations: list[str], context: str) -> None:
@@ -331,36 +338,13 @@ def smash_product_data(h: QuasiBialgebra, b: RightModuleAlgebra) -> CrossedData:
         tensor_map(id_h, b.action),
         compose(tensor_map(flip(field, nb, m), id_h), tensor_map(id_b, h.comult)),
     )
-
-    zero = field.zero()
-    sigma = MapBuilder(field, (nb, nb), (m, nb))
-    for flat, coeff in enumerate(h.associator_inverse):
-        if coeff == zero:
-            continue
-        p = flat // (m * m)
-        q = (flat // m) % m
-        rr = flat % m
-        for j in range(nb):
-            col1 = tuple(b.action.matrix[x][j * m + q] for x in range(nb))
-            for el in range(nb):
-                col2 = tuple(b.action.matrix[y][el * m + rr] for y in range(nb))
-                for x in range(nb):
-                    if col1[x] == zero:
-                        continue
-                    for y in range(nb):
-                        if col2[y] == zero:
-                            continue
-                        c = field.mul(coeff, field.mul(col1[x], col2[y]))
-                        prod = b.mult.column(x * nb + y)
-                        for u in range(nb):
-                            if prod[u] != zero:
-                                sigma.add(p * nb + u, j * nb + el, field.mul(c, prod[u]))
+    sigma = compose(tensor_map(id_h, b.mult), _leg_action(b, h.associator_inverse, lead=1, legs=2))
 
     return CrossedData(
         a=h.algebra,
         v=PointedSpace(nb, b.unit, label=b.label),
         r=r,
-        sigma=sigma.build(),
+        sigma=sigma,
         label=f"{h.label or h.algebra.label}#{b.label}",
     )
 
@@ -435,32 +419,10 @@ def module_algebra_twist(
     """Deformed multiplication b * b' = (b . F1)(b' . F2); unit and action kept."""
     _require_valid(module_algebra_violations(h, b), "module algebra")
     _require_valid(gauge_violations(h, f), "gauge transformation")
-    field = h.field
-    m, nb = h.algebra.dim, b.dim
-    zero = field.zero()
-    star = MapBuilder(field, (nb, nb), (nb,))
-    for flat, coeff in enumerate(f.f):
-        if coeff == zero:
-            continue
-        p, q = flat // m, flat % m
-        for j in range(nb):
-            col1 = tuple(b.action.matrix[x][j * m + p] for x in range(nb))
-            for el in range(nb):
-                col2 = tuple(b.action.matrix[y][el * m + q] for y in range(nb))
-                for x in range(nb):
-                    if col1[x] == zero:
-                        continue
-                    for y in range(nb):
-                        if col2[y] == zero:
-                            continue
-                        c = field.mul(coeff, field.mul(col1[x], col2[y]))
-                        prod = b.mult.column(x * nb + y)
-                        for u in range(nb):
-                            if prod[u] != zero:
-                                star.add(u, j * nb + el, field.mul(c, prod[u]))
+    star = compose(b.mult, _leg_action(b, f.f, lead=0, legs=2))
     twisted = RightModuleAlgebra(
-        dim=nb,
-        mult=star.build(),
+        dim=b.dim,
+        mult=star,
         unit=b.unit,
         action=b.action,
         label=b.label,
@@ -473,25 +435,11 @@ def module_algebra_twist(
 
 def gauge_twist_pair(b: RightModuleAlgebra, f: GaugeTransformation) -> TwistPair:
     """theta(b) = F1 (x) b . F2 and gamma(b) = G1 (x) b . G2."""
-    field = b.field
-    m, nb = b.acting_dim, b.dim
+    m = b.acting_dim
     if len(f.f) != m * m:
         raise ShapeError(f"gauge element length {len(f.f)} does not match H dimension {m}")
-    zero = field.zero()
-    maps = []
-    for elem in (f.f, f.f_inverse):
-        builder = MapBuilder(field, (nb,), (m, nb))
-        for flat, coeff in enumerate(elem):
-            if coeff == zero:
-                continue
-            p, q = flat // m, flat % m
-            for j in range(nb):
-                for u in range(nb):
-                    act = b.action.matrix[u][j * m + q]
-                    if act != zero:
-                        builder.add(p * nb + u, j, field.mul(coeff, act))
-        maps.append(builder.build())
-    return TwistPair(theta=maps[0], gamma=maps[1])
+    theta, gamma = (_leg_action(b, elem, lead=1, legs=1) for elem in (f.f, f.f_inverse))
+    return TwistPair(theta=theta, gamma=gamma)
 
 
 def group_like_bialgebra(alg: Algebra, label: str = "") -> QuasiBialgebra:

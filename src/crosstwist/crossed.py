@@ -8,6 +8,7 @@ failure indices stay interpretable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .algebra import Algebra, PointedSpace, check_algebra, mu2, opposite_unit_insertion
 from .fields import Field
@@ -21,7 +22,6 @@ from .linmap import (
     kron_vec,
     reshape,
     tensor_map,
-    vectors_equal,
 )
 from .report import AxiomReport, LawCheck, law_from_maps
 
@@ -81,70 +81,71 @@ class TwistingMapData:
         return self.a.field
 
 
+def _unit_slides(r: LinMap, a: Algebra, point: tuple, name: str):
+    """Case streams for R(1 (x) a_k) = a_k (x) 1 and R(x_j (x) 1_A) = 1_A (x) x_j,
+    where 1 = ``point`` is the unit of the space named ``name`` (V or B)."""
+    field, x = a.field, name.lower()
+
+    def left():
+        for k in range(a.dim):
+            e = basis_vector(field, a.dim, k)
+            got = apply(r, kron_vec(field, point, e))
+            want = kron_vec(field, e, point)
+            yield (k,), got, want, f"R(1_{name} (x) a_{k}) != a_{k} (x) 1_{name}"
+
+    def right():
+        for j in range(len(point)):
+            e = basis_vector(field, len(point), j)
+            got = apply(r, kron_vec(field, e, a.unit))
+            want = kron_vec(field, a.unit, e)
+            yield (j,), got, want, f"R({x}_{j} (x) 1_A) != 1_A (x) {x}_{j}"
+
+    return left(), right()
+
+
+def _r_mult_law(law: str, r: LinMap, a: Algebra, n: int) -> LawCheck:
+    """R(x (x) aa') = (mu (x) id)(id (x) R)(R (x) id), on X (x) A (x) A with dim X = n."""
+    id_a, id_x = identity(a.field, (a.dim,)), identity(a.field, (n,))
+    return law_from_maps(
+        law,
+        compose(r, tensor_map(id_x, a.mult)),
+        compose(
+            tensor_map(a.mult, id_x),
+            compose(tensor_map(id_a, r), tensor_map(r, id_a)),
+        ),
+    )
+
+
 def check_twisting_map(t: TwistingMapData) -> AxiomReport:
-    """The four twisting-map conditions tw1..tw4, each as an exact identity."""
-    field = t.field
-    m, n = t.a.dim, t.b.dim
-    id_a, id_b = identity(field, (m,)), identity(field, (n,))
-    checks = []
+    """The four twisting-map conditions tw1..tw4, each as an exact identity.
 
-    failure = None
-    for k in range(m):
-        got = apply(t.r, kron_vec(field, t.b.unit, basis_vector(field, m, k)))
-        want = kron_vec(field, basis_vector(field, m, k), t.b.unit)
-        if not vectors_equal(field, got, want):
-            failure = LawCheck(
-                "tw1", False, first_counterexample=(k,), detail=f"R(1_B (x) a_{k}) != a_{k} (x) 1_B"
-            )
-            break
-    checks.append(failure if failure is not None else LawCheck("tw1", True))
-
-    failure = None
-    for j in range(n):
-        got = apply(t.r, kron_vec(field, basis_vector(field, n, j), t.a.unit))
-        want = kron_vec(field, t.a.unit, basis_vector(field, n, j))
-        if not vectors_equal(field, got, want):
-            failure = LawCheck(
-                "tw2", False, first_counterexample=(j,), detail=f"R(b_{j} (x) 1_A) != 1_A (x) b_{j}"
-            )
-            break
-    checks.append(failure if failure is not None else LawCheck("tw2", True))
-
-    checks.append(
-        law_from_maps(
-            "tw3",
-            compose(t.r, tensor_map(id_b, t.a.mult)),
-            compose(
-                tensor_map(t.a.mult, id_b),
-                compose(tensor_map(id_a, t.r), tensor_map(t.r, id_a)),
+    tw1..tw3 are brz1 and brz3 with B in place of V."""
+    id_a, id_b = identity(t.field, (t.a.dim,)), identity(t.field, (t.b.dim,))
+    left, right = _unit_slides(t.r, t.a, t.b.unit, "B")
+    return AxiomReport(
+        (
+            LawCheck.from_vectors("tw1", left),
+            LawCheck.from_vectors("tw2", right),
+            _r_mult_law("tw3", t.r, t.a, t.b.dim),
+            law_from_maps(
+                "tw4",
+                compose(t.r, tensor_map(t.b.mult, id_a)),
+                compose(
+                    tensor_map(id_a, t.b.mult),
+                    compose(tensor_map(t.r, id_b), tensor_map(id_b, t.r)),
+                ),
             ),
         )
     )
-    checks.append(
-        law_from_maps(
-            "tw4",
-            compose(t.r, tensor_map(t.b.mult, id_a)),
-            compose(
-                tensor_map(id_a, t.b.mult),
-                compose(tensor_map(t.r, id_b), tensor_map(id_b, t.r)),
-            ),
-        )
-    )
-    return AxiomReport(tuple(checks))
 
 
 def twisted_tensor_product(t: TwistingMapData) -> CrossedData:
     """Crossed data of a twisted tensor product: sigma(b, b') = 1_A (x) bb'."""
     for algebra, name in ((t.a, "A"), (t.b, "B")):
-        rep = check_algebra(algebra)
-        if not rep.passed:
-            raise InvalidDataError(
-                f"algebra {name} fails {rep.failures[0].law}: {rep.failures[0].detail}"
-            )
-    rep = check_twisting_map(t)
-    if not rep.passed:
-        bad = rep.failures[0]
-        raise InvalidDataError(f"twisting map fails {bad.law}: {bad.detail}")
+        check_algebra(algebra).require(
+            InvalidDataError, f"algebra {name} fails {{law}}: {{detail}}"
+        )
+    check_twisting_map(t).require(InvalidDataError, "twisting map fails {law}: {detail}")
     v = PointedSpace(t.b.dim, t.b.unit, label=t.b.label)
     iota = opposite_unit_insertion(t.a, v)
     return CrossedData(
@@ -162,61 +163,22 @@ def check_brz_axioms(c: CrossedData) -> AxiomReport:
     m, n = c.a.dim, c.v.dim
     id_a, id_v = identity(field, (m,)), identity(field, (n,))
     mu = c.a.mult
-    checks = []
 
     # brz1: R(1_V (x) a) = a (x) 1_V and R(v (x) 1_A) = 1_A (x) v.
-    failure = None
-    for k in range(m):
-        got = apply(c.r, kron_vec(field, c.v.point, basis_vector(field, m, k)))
-        want = kron_vec(field, basis_vector(field, m, k), c.v.point)
-        if not vectors_equal(field, got, want):
-            failure = LawCheck(
-                "brz1", False, first_counterexample=(k,), detail=f"R(1_V (x) a_{k}) != a_{k} (x) 1_V"
-            )
-            break
-    if failure is None:
-        for j in range(n):
-            got = apply(c.r, kron_vec(field, basis_vector(field, n, j), c.a.unit))
-            want = kron_vec(field, c.a.unit, basis_vector(field, n, j))
-            if not vectors_equal(field, got, want):
-                failure = LawCheck(
-                    "brz1",
-                    False,
-                    first_counterexample=(j,),
-                    detail=f"R(v_{j} (x) 1_A) != 1_A (x) v_{j}",
-                )
-                break
-    checks.append(failure if failure is not None else LawCheck("brz1", True))
+    checks = [LawCheck.from_vectors("brz1", chain(*_unit_slides(c.r, c.a, c.v.point, "V")))]
 
     # brz2: sigma(1_V, v) = sigma(v, 1_V) = 1_A (x) v.
-    failure = None
-    for j in range(n):
-        e_j = basis_vector(field, n, j)
-        want = kron_vec(field, c.a.unit, e_j)
-        left = apply(c.sigma, kron_vec(field, c.v.point, e_j))
-        right = apply(c.sigma, kron_vec(field, e_j, c.v.point))
-        if not vectors_equal(field, left, want):
-            failure = LawCheck(
-                "brz2", False, first_counterexample=(j,), detail=f"sigma(1_V, v_{j}) != 1_A (x) v_{j}"
-            )
-            break
-        if not vectors_equal(field, right, want):
-            failure = LawCheck(
-                "brz2", False, first_counterexample=(j,), detail=f"sigma(v_{j}, 1_V) != 1_A (x) v_{j}"
-            )
-            break
-    checks.append(failure if failure is not None else LawCheck("brz2", True))
+    def sigma_units():
+        for j in range(n):
+            e_j = basis_vector(field, n, j)
+            want = kron_vec(field, c.a.unit, e_j)
+            left = apply(c.sigma, kron_vec(field, c.v.point, e_j))
+            yield (j,), left, want, f"sigma(1_V, v_{j}) != 1_A (x) v_{j}"
+            right = apply(c.sigma, kron_vec(field, e_j, c.v.point))
+            yield (j,), right, want, f"sigma(v_{j}, 1_V) != 1_A (x) v_{j}"
 
-    checks.append(
-        law_from_maps(
-            "brz3",
-            compose(c.r, tensor_map(id_v, mu)),
-            compose(
-                tensor_map(mu, id_v),
-                compose(tensor_map(id_a, c.r), tensor_map(c.r, id_a)),
-            ),
-        )
-    )
+    checks.append(LawCheck.from_vectors("brz2", sigma_units()))
+    checks.append(_r_mult_law("brz3", c.r, c.a, n))
 
     mu_sigma = compose(tensor_map(mu, id_v), tensor_map(id_a, c.sigma))
     checks.append(
@@ -255,14 +217,8 @@ def crossed_mult(c: CrossedData) -> LinMap:
 
 def build_crossed_product(c: CrossedData) -> Algebra:
     """The crossed-product algebra on A (x) V; refuses unverified data."""
-    rep = check_algebra(c.a)
-    if not rep.passed:
-        bad = rep.failures[0]
-        raise InvalidDataError(f"underlying algebra fails {bad.law}: {bad.detail}")
-    rep = check_brz_axioms(c)
-    if not rep.passed:
-        bad = rep.failures[0]
-        raise InvalidDataError(f"crossed data fails {bad.law}: {bad.detail}")
+    check_algebra(c.a).require(InvalidDataError, "underlying algebra fails {law}: {detail}")
+    check_brz_axioms(c).require(InvalidDataError, "crossed data fails {law}: {detail}")
     m, n = c.a.dim, c.v.dim
     mult = reshape(crossed_mult(c), (m * n, m * n), (m * n,))
     return Algebra(

@@ -28,18 +28,23 @@ _RATIONAL_RE = re.compile(r"^(-?[0-9]+)/([1-9][0-9]*)$")
 _INT_RE = re.compile(r"^(0|[1-9][0-9]*)$")
 
 
+# Deterministic Miller-Rabin: the first thirteen prime bases are exact below
+# psi_13 (Sorenson and Webster 2017); larger moduli are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin; witness set is exact for n < 3.3e24
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_BASES:
         if n % small == 0:
             return n == small
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -121,6 +126,10 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
+        if self.p >= _MR_BOUND:
+            raise FieldError(
+                f"prime field modulus {self.p} is too large to certify (must be < {_MR_BOUND})"
+            )
         if not _is_prime(self.p):
             raise FieldError(f"prime field modulus must be prime, got {self.p}")
 
@@ -183,3 +192,15 @@ class PrimeField:
 
 
 Field = Union[Rationals, PrimeField]
+
+
+def parse_field_spec(text: str) -> Field:
+    """The field named by ``rationals`` or ``gf:<p>``."""
+    if text == "rationals":
+        return Rationals()
+    if text.startswith("gf:"):
+        try:
+            return PrimeField(int(text[3:]))
+        except ValueError as exc:
+            raise FieldError(f"bad field spec {text!r}: {exc}") from None
+    raise FieldError(f"bad field spec {text!r} (use rationals or gf:<p>)")

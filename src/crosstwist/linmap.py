@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .fields import Field, Scalar
 
@@ -126,20 +126,6 @@ def zero_map(field: Field, domain_dims: Sequence[int], codomain_dims: Sequence[i
     zero = field.zero()
     dt, ct = _total(domain_dims), _total(codomain_dims)
     rows = tuple(tuple(zero for _ in range(dt)) for _ in range(ct))
-    return LinMap(field, tuple(domain_dims), tuple(codomain_dims), rows)
-
-
-def from_columns(
-    field: Field,
-    domain_dims: Sequence[int],
-    codomain_dims: Sequence[int],
-    columns: Sequence[Sequence[Scalar]],
-) -> LinMap:
-    """Build a map from the images of the domain basis vectors."""
-    dt, ct = _total(domain_dims), _total(codomain_dims)
-    if len(columns) != dt or any(len(c) != ct for c in columns):
-        raise ShapeError(f"expected {dt} columns of length {ct}")
-    rows = tuple(tuple(columns[j][i] for j in range(dt)) for i in range(ct))
     return LinMap(field, tuple(domain_dims), tuple(codomain_dims), rows)
 
 
@@ -340,15 +326,3 @@ def random_matrix_map(
     dt, ct = _total(domain_dims), _total(codomain_dims)
     rows = tuple(tuple(rng.choice(pool) for _ in range(dt)) for _ in range(ct))
     return LinMap(field, tuple(domain_dims), tuple(codomain_dims), rows)
-
-
-def map_from_function(
-    field: Field,
-    domain_dims: Sequence[int],
-    codomain_dims: Sequence[int],
-    image: Callable[[tuple[int, ...]], Sequence[Scalar]],
-) -> LinMap:
-    """Map whose column at each domain multi-index is ``image(multi_index)``."""
-    dims = tuple(domain_dims)
-    cols = [image(unflatten(j, dims)) for j in range(_total(dims))]
-    return from_columns(field, dims, tuple(codomain_dims), cols)

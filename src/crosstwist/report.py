@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .linmap import LinMap, first_difference
 
@@ -51,6 +51,19 @@ class LawCheck:
         if self.law not in LAW_NAMES:
             raise ValueError(f"unknown law name {self.law!r}")
 
+    @classmethod
+    def from_vectors(
+        cls, law: str, cases: Iterable[tuple[tuple[int, ...], Sequence, Sequence, str]]
+    ) -> LawCheck:
+        """Fail on the first case (index, got, want, detail) whose vectors differ.
+
+        ``cases`` is consumed lazily, so no case after the first failure is built.
+        """
+        for index, got, want, detail in cases:
+            if tuple(got) != tuple(want):
+                return cls(law, False, first_counterexample=index, detail=detail)
+        return cls(law, True)
+
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -69,6 +82,12 @@ class AxiomReport:
             if c.law == law:
                 return c
         raise KeyError(f"report has no check for law {law!r}")
+
+    def require(self, error: type[Exception], template: str) -> None:
+        """Raise ``error`` for the first failed law; the template sees {law} and {detail}."""
+        if not self.passed:
+            bad = self.failures[0]
+            raise error(template.format(law=bad.law, detail=bad.detail))
 
     def __str__(self) -> str:
         return "\n".join(format_check(c) for c in self.checks)

@@ -6,10 +6,6 @@ subject to four conditions, the twisted data (A, V, R', sigma') is again a
 crossed product and phi(a (x) v) = a.theta(v) is an algebra isomorphism onto
 the original one.  Every conclusion is certified here by exact matrix
 identities; nothing is taken on faith from the constructions.
-
-``sweedler_r_prime`` and ``sweedler_sigma_prime`` recompute R' and sigma' by
-direct summation over structure constants.  They share no code with the
-composite route and exist purely as cross-check oracles.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from .crossed import (
 )
 from .linmap import (
     LinMap,
-    MapBuilder,
     ShapeError,
     SingularMapError,
     apply,
@@ -36,10 +31,8 @@ from .linmap import (
     identity,
     invert,
     kron_vec,
-    maps_equal,
     random_matrix_map,
     tensor_map,
-    vectors_equal,
 )
 from .report import AxiomReport, LawCheck, law_from_maps
 
@@ -116,128 +109,14 @@ def make_sigma_prime(c: CrossedData, t: TwistPair) -> LinMap:
     )
 
 
-def _basis_product(mult: LinMap, m: int, i: int, j: int) -> tuple:
-    # column of the structure-constant matrix, read directly
-    col = i * m + j
-    return tuple(mult.matrix[u][col] for u in range(m))
-
-
-def _product_of_basis_chain(mult: LinMap, m: int, indices: list[int]) -> tuple:
-    """Left-to-right product of basis elements, via structure constants only."""
-    field = mult.field
-    zero = field.zero()
-    current = {indices[0]: field.one()}
-    for nxt in indices[1:]:
-        acc: dict[int, object] = {}
-        for i, coeff in current.items():
-            col = _basis_product(mult, m, i, nxt)
-            for u in range(m):
-                if col[u] != zero:
-                    acc[u] = field.add(acc.get(u, zero), field.mul(coeff, col[u]))
-        current = {u: x for u, x in acc.items() if x != zero}
-    out = [zero] * m
-    for u, x in current.items():
-        out[u] = x
-    return tuple(out)
-
-
-def sweedler_r_prime(c: CrossedData, t: TwistPair) -> LinMap:
-    """Independent expansion of R' by direct summation over tensor legs."""
-    field = c.field
-    m, n = c.a.dim, c.v.dim
-    zero = field.zero()
-    out = MapBuilder(field, (n, m), (m, n))
-    for j in range(n):
-        for k in range(m):
-            col = j * m + k
-            for p in range(m):
-                for q in range(n):
-                    c_theta = t.theta.matrix[p * n + q][j]
-                    if c_theta == zero:
-                        continue
-                    for s in range(m):
-                        for t2 in range(n):
-                            c_r = c.r.matrix[s * n + t2][q * m + k]
-                            if c_r == zero:
-                                continue
-                            for u in range(m):
-                                for w in range(n):
-                                    c_gamma = t.gamma.matrix[u * n + w][t2]
-                                    if c_gamma == zero:
-                                        continue
-                                    coeff = field.mul(field.mul(c_theta, c_r), c_gamma)
-                                    prod = _product_of_basis_chain(c.a.mult, m, [p, s, u])
-                                    for x in range(m):
-                                        if prod[x] != zero:
-                                            out.add(x * n + w, col, field.mul(coeff, prod[x]))
-    return out.build()
-
-
-def sweedler_sigma_prime(c: CrossedData, t: TwistPair) -> LinMap:
-    """Independent expansion of sigma' by direct summation over tensor legs."""
-    field = c.field
-    m, n = c.a.dim, c.v.dim
-    zero = field.zero()
-    out = MapBuilder(field, (n, n), (m, n))
-    for j in range(n):
-        for el in range(n):
-            col = j * n + el
-            for p in range(m):
-                for q in range(n):
-                    c_tv = t.theta.matrix[p * n + q][j]
-                    if c_tv == zero:
-                        continue
-                    for p2 in range(m):
-                        for q2 in range(n):
-                            c_tw = t.theta.matrix[p2 * n + q2][el]
-                            if c_tw == zero:
-                                continue
-                            for s in range(m):
-                                for t2 in range(n):
-                                    c_r = c.r.matrix[s * n + t2][q * m + p2]
-                                    if c_r == zero:
-                                        continue
-                                    for u in range(m):
-                                        for x in range(n):
-                                            c_s = c.sigma.matrix[u * n + x][t2 * n + q2]
-                                            if c_s == zero:
-                                                continue
-                                            for y in range(m):
-                                                for z in range(n):
-                                                    c_g = t.gamma.matrix[y * n + z][x]
-                                                    if c_g == zero:
-                                                        continue
-                                                    coeff = field.mul(
-                                                        field.mul(field.mul(c_tv, c_tw), field.mul(c_r, c_s)),
-                                                        c_g,
-                                                    )
-                                                    prod = _product_of_basis_chain(
-                                                        c.a.mult, m, [p, s, u, y]
-                                                    )
-                                                    for w in range(m):
-                                                        if prod[w] != zero:
-                                                            out.add(
-                                                                w * n + z,
-                                                                col,
-                                                                field.mul(coeff, prod[w]),
-                                                            )
-    return out.build()
-
-
 def check_pair_units(a: Algebra, v: PointedSpace, t: TwistPair) -> LawCheck:
     """Condition cros1: theta and gamma both send 1_V to 1_A (x) 1_V."""
-    field = a.field
-    want = kron_vec(field, a.unit, v.point)
-    for name, f in (("theta", t.theta), ("gamma", t.gamma)):
-        got = apply(f, v.point)
-        if not vectors_equal(field, got, want):
-            return LawCheck(
-                "cros1",
-                False,
-                first_counterexample=(),
-                detail=f"{name}(1_V) != 1_A (x) 1_V",
-            )
-    return LawCheck("cros1", True)
+    want = kron_vec(a.field, a.unit, v.point)
+    cases = (
+        ((), apply(f, v.point), want, f"{name}(1_V) != 1_A (x) 1_V")
+        for name, f in (("theta", t.theta), ("gamma", t.gamma))
+    )
+    return LawCheck.from_vectors("cros1", cases)
 
 
 def check_mutual_inverse(a: Algebra, v: PointedSpace, t: TwistPair) -> tuple[LawCheck, LawCheck]:
@@ -287,21 +166,12 @@ def verify_twist_result(c: CrossedData, result: TwistResult) -> AxiomReport:
     id_av = identity(field, (m, n))
     fwd = compose(result.phi, result.phi_inverse)
     bwd = compose(result.phi_inverse, result.phi)
-    if maps_equal(fwd, id_av) and maps_equal(bwd, id_av):
-        checks.append(LawCheck("phi_invertible", True))
-    else:
-        bad = law_from_maps("phi_invertible", fwd, id_av)
-        if bad.passed:
-            bad = law_from_maps("phi_invertible", bwd, id_av)
-        checks.append(bad)
+    invertible = law_from_maps("phi_invertible", fwd, id_av)
+    checks.append(law_from_maps("phi_invertible", bwd, id_av) if invertible.passed else invertible)
 
     one = kron_vec(field, c.a.unit, c.v.point)
-    if vectors_equal(field, apply(result.phi, one), one):
-        checks.append(LawCheck("phi_unital", True))
-    else:
-        checks.append(
-            LawCheck("phi_unital", False, first_counterexample=(), detail="phi(1 (x) 1) != 1 (x) 1")
-        )
+    unital = ((), apply(result.phi, one), one, "phi(1 (x) 1) != 1 (x) 1")
+    checks.append(LawCheck.from_vectors("phi_unital", [unital]))
 
     checks.append(
         law_from_maps(
@@ -320,14 +190,8 @@ def apply_twist(c: CrossedData, t: TwistPair) -> TwistResult:
     :class:`TheoremViolationError` if any certified conclusion fails, which
     cannot happen on valid inputs unless the implementation is wrong.
     """
-    rep = check_brz_axioms(c)
-    if not rep.passed:
-        bad = rep.failures[0]
-        raise TwistPreconditionError(f"crossed data fails {bad.law}: {bad.detail}")
-    rep = check_twist_conditions(c, t)
-    if not rep.passed:
-        bad = rep.failures[0]
-        raise TwistPreconditionError(f"twist pair fails {bad.law}: {bad.detail}")
+    check_brz_axioms(c).require(TwistPreconditionError, "crossed data fails {law}: {detail}")
+    check_twist_conditions(c, t).require(TwistPreconditionError, "twist pair fails {law}: {detail}")
 
     r_prime = make_r_prime(c, t)
     sigma_prime = make_sigma_prime(c, t)
@@ -338,12 +202,9 @@ def apply_twist(c: CrossedData, t: TwistPair) -> TwistResult:
         phi=phi_map(c.a, t.theta),
         phi_inverse=phi_map(c.a, t.gamma),
     )
-    verification = verify_twist_result(c, result)
-    if not verification.passed:
-        bad = verification.failures[0]
-        raise TheoremViolationError(
-            f"certified conclusion {bad.law} failed on valid inputs: {bad.detail}"
-        )
+    verify_twist_result(c, result).require(
+        TheoremViolationError, "certified conclusion {law} failed on valid inputs: {detail}"
+    )
     return result
 
 
@@ -354,22 +215,16 @@ def specialize_ttp(t: TwistingMapData, star: LinMap, pair: TwistPair) -> AxiomRe
     product, the unit conditions, rel1..rel3, and the derived identity
     sigma'(b, b') = 1_A (x) (b star b').
     """
-    rep = check_twisting_map(t)
-    if not rep.passed:
-        bad = rep.failures[0]
-        raise TwistPreconditionError(f"twisting map fails {bad.law}: {bad.detail}")
+    check_twisting_map(t).require(TwistPreconditionError, "twisting map fails {law}: {detail}")
     nb = t.b.dim
     if star.domain_dims != (nb, nb) or star.codomain_dims != (nb,):
         raise ShapeError(
             f"star must map ({nb}, {nb}) -> ({nb},); got {star.domain_dims} -> {star.codomain_dims}"
         )
     b_star = Algebra(nb, star, t.b.unit, label="B-star")
-    rep = check_algebra(b_star)
-    if not rep.passed:
-        bad = rep.failures[0]
-        raise TwistPreconditionError(
-            f"star multiplication fails {bad.law} with the unit of B: {bad.detail}"
-        )
+    check_algebra(b_star).require(
+        TwistPreconditionError, "star multiplication fails {law} with the unit of B: {detail}"
+    )
 
     field = t.field
     m = t.a.dim

@@ -206,3 +206,86 @@ def smash_formula_product(h, b) -> LinMap:
                                                     ),
                                                 )
     return out.build()
+
+
+def sweedler_r_prime(c, t) -> LinMap:
+    """Independent expansion of R' by direct summation over tensor legs."""
+    field = c.field
+    m, n = c.a.dim, c.v.dim
+    zero = field.zero()
+    out = MapBuilder(field, (n, m), (m, n))
+    for j in range(n):
+        for k in range(m):
+            col = j * m + k
+            for p in range(m):
+                for q in range(n):
+                    c_theta = t.theta.matrix[p * n + q][j]
+                    if c_theta == zero:
+                        continue
+                    for s in range(m):
+                        for t2 in range(n):
+                            c_r = c.r.matrix[s * n + t2][q * m + k]
+                            if c_r == zero:
+                                continue
+                            for u in range(m):
+                                for w in range(n):
+                                    c_gamma = t.gamma.matrix[u * n + w][t2]
+                                    if c_gamma == zero:
+                                        continue
+                                    coeff = field.mul(field.mul(c_theta, c_r), c_gamma)
+                                    prod = basis_chain_product(c.a.mult, m, [p, s, u])
+                                    for x in range(m):
+                                        if prod[x] != zero:
+                                            out.add(x * n + w, col, field.mul(coeff, prod[x]))
+    return out.build()
+
+
+def sweedler_sigma_prime(c, t) -> LinMap:
+    """Independent expansion of sigma' by direct summation over tensor legs."""
+    field = c.field
+    m, n = c.a.dim, c.v.dim
+    zero = field.zero()
+    out = MapBuilder(field, (n, n), (m, n))
+    for j in range(n):
+        for el in range(n):
+            col = j * n + el
+            for p in range(m):
+                for q in range(n):
+                    c_tv = t.theta.matrix[p * n + q][j]
+                    if c_tv == zero:
+                        continue
+                    for p2 in range(m):
+                        for q2 in range(n):
+                            c_tw = t.theta.matrix[p2 * n + q2][el]
+                            if c_tw == zero:
+                                continue
+                            for s in range(m):
+                                for t2 in range(n):
+                                    c_r = c.r.matrix[s * n + t2][q * m + p2]
+                                    if c_r == zero:
+                                        continue
+                                    for u in range(m):
+                                        for x in range(n):
+                                            c_s = c.sigma.matrix[u * n + x][t2 * n + q2]
+                                            if c_s == zero:
+                                                continue
+                                            for y in range(m):
+                                                for z in range(n):
+                                                    c_g = t.gamma.matrix[y * n + z][x]
+                                                    if c_g == zero:
+                                                        continue
+                                                    coeff = field.mul(
+                                                        field.mul(field.mul(c_tv, c_tw), field.mul(c_r, c_s)),
+                                                        c_g,
+                                                    )
+                                                    prod = basis_chain_product(
+                                                        c.a.mult, m, [p, s, u, y]
+                                                    )
+                                                    for w in range(m):
+                                                        if prod[w] != zero:
+                                                            out.add(
+                                                                w * n + z,
+                                                                col,
+                                                                field.mul(coeff, prod[w]),
+                                                            )
+    return out.build()

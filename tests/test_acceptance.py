@@ -30,8 +30,6 @@ from crosstwist import (
     random_twist_pair,
     smash_product_data,
     specialize_ttp,
-    sweedler_r_prime,
-    sweedler_sigma_prime,
     trivial_pair,
     verify_twist_result,
 )
@@ -39,6 +37,7 @@ from crosstwist.cli import _instance_document
 from crosstwist.io import report_to_json, serialize
 from crosstwist.linmap import scale
 from crosstwist.twist import check_mutual_inverse, check_pair_units
+from oracles import sweedler_r_prime, sweedler_sigma_prime
 from test_corpus import direct_phi
 from test_crossed import crafted_mutations
 

@@ -191,5 +191,26 @@ class TestUsageErrors:
         assert code == 2
 
     def test_bad_field_spec(self, capsys):
-        code, _, _ = run_cli(["corpus", "--field", "gf:4"], capsys)
+        # 318665857834031151167461 = psi_12 is a strong pseudoprime to bases 2..37
+        for spec in ("gf:4", "gf:318665857834031151167461"):
+            code, out, err = run_cli(["corpus", "--field", spec], capsys)
+            assert code == 2 and "must be prime" in err and out == ""
+
+    @pytest.mark.parametrize("case", ["directory", "non_utf8", "verify_iso_dims"])
+    def test_unreadable_or_mismatched_input_is_input_error(self, case, emitted, capsys, tmp_path):
+        command = "validate"
+        path = tmp_path / "doc.json"
+        if case == "directory":
+            path = tmp_path
+        elif case == "non_utf8":
+            path.write_bytes(b'{"field": "\xff"}')
+        else:
+            command = "verify-iso"
+            run_cli(["twist", "--input", str(emitted("ttp-flip-c2")), "--output", str(path)], capsys)
+            raw = json.loads(path.read_text())
+            other = json.loads(emitted("gauge-v4").read_text())
+            raw["objects"]["crossed_prime"] = other["objects"]["crossed"]
+            path.write_text(json.dumps(raw))
+        code, out, err = run_cli([command, "--input", str(path)], capsys)
         assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err

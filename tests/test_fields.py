@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crosstwist import CharacteristicError, FieldError, PrimeField, Rationals
+from crosstwist.fields import parse_field_spec
 
 
 def test_exactness_thirds():
@@ -34,6 +35,33 @@ def test_prime_field_requires_prime():
         PrimeField(1)
     PrimeField(2)
     PrimeField(101)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        318665857834031151167461,  # psi_12: composite, a strong probable prime to bases 2..37
+        3317044064679887385961981,  # psi_13: the bound of the primality test
+    ],
+)
+def test_prime_field_refuses_pseudoprimes_and_oversized_moduli(p):
+    with pytest.raises(FieldError):
+        PrimeField(p)
+
+
+def test_prime_field_accepts_large_prime_below_bound():
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+
+
+@pytest.mark.parametrize("text", ["", "gf", "gf:", "gf:x", "gf:4", "gf:318665857834031151167461", "Q"])
+def test_parse_field_spec_rejects(text):
+    with pytest.raises(FieldError, match="bad field spec"):
+        parse_field_spec(text)
+
+
+def test_parse_field_spec_accepts():
+    assert parse_field_spec("rationals") == Rationals()
+    assert parse_field_spec("gf:5") == PrimeField(5)
 
 
 def test_prime_field_parse():

@@ -25,8 +25,6 @@ from crosstwist import (
     phi_map,
     random_twist_pair,
     specialize_ttp,
-    sweedler_r_prime,
-    sweedler_sigma_prime,
     tensor_map,
     trivial_pair,
     verify_twist_result,
@@ -35,6 +33,7 @@ from crosstwist import (
 from crosstwist.crossed import with_r
 from crosstwist.linmap import scale
 from crosstwist.twist import check_mutual_inverse, check_pair_units
+from oracles import sweedler_r_prime, sweedler_sigma_prime
 
 F = Rationals()
 C3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
