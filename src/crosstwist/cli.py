@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .algebra import Algebra, PointedSpace, check_algebra
+from .algebra import Algebra, check_algebra
 from .corpus import (
     GaugeTransformation,
     QuasiBialgebra,
@@ -25,7 +25,7 @@ from .corpus import (
 )
 from .crossed import CrossedData, InvalidDataError, build_crossed_product, check_brz_axioms
 from .fields import CharacteristicError, Field, FieldError, Rationals, parse_field_spec
-from .io import DocumentError, SpecDocument, parse, report_to_json, serialize
+from .io import OBJECT_TAGS, DocumentError, SpecDocument, parse, report_to_json, serialize
 from .linmap import LinMap
 from .report import AxiomReport, format_check, merge
 from .twist import (
@@ -114,34 +114,30 @@ def _find_quasi(doc: SpecDocument) -> QuasiBialgebra | None:
 
 def _validate_one(doc: SpecDocument, name: str) -> dict:
     obj = doc.objects[name]
+    kind = OBJECT_TAGS[type(obj)]
     if isinstance(obj, Algebra):
-        return _report_result(name, "algebra", check_algebra(obj))
+        return _report_result(name, kind, check_algebra(obj))
     if isinstance(obj, CrossedData):
         return _report_result(
-            name, "crossed_data", merge(check_algebra(obj.a).checks, check_brz_axioms(obj).checks)
+            name, kind, merge(check_algebra(obj.a).checks, check_brz_axioms(obj).checks)
         )
     if isinstance(obj, QuasiBialgebra):
         violations = quasi_bialgebra_violations(obj) + pentagon_violations(obj)
-        return _violations_result(name, "quasi_bialgebra", violations)
+        return _violations_result(name, kind, violations)
     if isinstance(obj, GaugeTransformation):
         quasi = _find_quasi(doc)
         if quasi is None:
             raise DocumentError(
                 f"$.objects.{name}", "gauge validation needs a quasi_bialgebra object"
             )
-        return _violations_result(name, "gauge_transformation", gauge_violations(quasi, obj))
+        return _violations_result(name, kind, gauge_violations(quasi, obj))
     if isinstance(obj, RightModuleAlgebra):
         quasi = _find_quasi(doc)
         if quasi is None:
             raise DocumentError(
                 f"$.objects.{name}", "module-algebra validation needs a quasi_bialgebra object"
             )
-        return _violations_result(
-            name, "right_module_algebra", module_algebra_violations(quasi, obj)
-        )
-    kind = {PointedSpace: "pointed_space", LinMap: "linmap", TwistPair: "twist_pair"}.get(
-        type(obj), type(obj).__name__
-    )
+        return _violations_result(name, kind, module_algebra_violations(quasi, obj))
     return _violations_result(name, kind, [], note="shape invariants hold (checked at parse)")
 
 
@@ -176,6 +172,14 @@ def cmd_build(args) -> int:
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
+def _algebra_fails(args, name: str, a: Algebra) -> bool:
+    """Print A's report if A fails its laws; the crossed product needs them."""
+    report = check_algebra(a)
+    if not report.passed:
+        _print_report(args, [_report_result(name, "algebra", report)])
+    return not report.passed
+
+
 def cmd_twist(args) -> int:
     doc = _load_document(args)
     name = args.object or "crossed"
@@ -185,6 +189,11 @@ def cmd_twist(args) -> int:
     pair = doc.objects.get(args.pair)
     if not isinstance(pair, TwistPair):
         raise DocumentError(f"$.objects.{args.pair}", "expected a twist_pair object")
+    m, n = data.a.dim, data.v.dim
+    if (pair.theta.domain_dims, pair.theta.codomain_dims) != ((n,), (m, n)):
+        raise DocumentError(f"$.objects.{args.pair}", f"expected a map ({n},) -> ({m}, {n})")
+    if _algebra_fails(args, name, data.a):
+        return EXIT_FAILED
 
     hypotheses = merge(check_brz_axioms(data).checks, check_twist_conditions(data, pair).checks)
     if not hypotheses.passed:
@@ -234,6 +243,8 @@ def cmd_verify_iso(args) -> int:
     for key in ("phi", "phi_inverse"):
         if (values[key].domain_total, values[key].codomain_total) != (m * n, m * n):
             raise DocumentError(f"$.objects.{key}", f"expected an endomorphism of ({m}, {n})")
+    if any(_algebra_fails(args, key, values[key].a) for key in ("crossed", "crossed_prime")):
+        return EXIT_FAILED
     result = TwistResult(
         r_prime=prime.r,
         sigma_prime=prime.sigma,

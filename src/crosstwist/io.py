@@ -10,8 +10,8 @@ comparisons are exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
-from typing import Any, Union
+from dataclasses import dataclass, field as dc_field, fields
+from typing import Any, get_type_hints
 
 from .algebra import Algebra, PointedSpace
 from .corpus import GaugeTransformation, QuasiBialgebra, RightModuleAlgebra
@@ -23,16 +23,30 @@ from .twist import TwistPair
 
 FORMAT_VERSION = "1"
 
-DomainObject = Union[
-    Algebra,
-    PointedSpace,
-    LinMap,
-    CrossedData,
-    TwistPair,
-    QuasiBialgebra,
-    GaugeTransformation,
-    RightModuleAlgebra,
-]
+# The document type tag of every domain class.  Each class is written as a
+# JSON object of its dataclass fields (LinMap as dims plus matrix), with the
+# field names as keys except where _KEYS renames them.
+OBJECT_TYPES: dict[str, type] = {
+    "algebra": Algebra,
+    "pointed_space": PointedSpace,
+    "linmap": LinMap,
+    "crossed_data": CrossedData,
+    "twist_pair": TwistPair,
+    "quasi_bialgebra": QuasiBialgebra,
+    "gauge_transformation": GaugeTransformation,
+    "right_module_algebra": RightModuleAlgebra,
+}
+OBJECT_TAGS: dict[type, str] = {cls: tag for tag, cls in OBJECT_TYPES.items()}
+_KEYS = {"a": "algebra", "v": "space"}
+
+
+def _schema(cls: type) -> tuple[tuple[str, str, Any], ...]:
+    """(field name, JSON key, resolved type hint) in declaration order."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, _KEYS.get(f.name, f.name), hints[f.name]) for f in fields(cls))
+
+
+_SCHEMAS = {cls: _schema(cls) for cls in OBJECT_TYPES.values() if cls is not LinMap}
 
 
 class DocumentError(ValueError):
@@ -46,16 +60,12 @@ class DocumentError(ValueError):
 @dataclass(frozen=True)
 class SpecDocument:
     field: Field
-    objects: dict[str, DomainObject] = dc_field(default_factory=dict)
+    objects: dict[str, Any] = dc_field(default_factory=dict)
     format_version: str = FORMAT_VERSION
 
 
 # ---------------------------------------------------------------------------
 # encoding
-
-
-def _encode_scalar(field: Field, x: Scalar) -> str:
-    return field.format(x)
 
 
 def _encode_vector(field: Field, v) -> list[str]:
@@ -70,65 +80,23 @@ def _encode_linmap(field: Field, f: LinMap) -> dict:
     }
 
 
-def _encode_object(field: Field, obj: DomainObject) -> dict:
-    if isinstance(obj, Algebra):
-        return {
-            "type": "algebra",
-            "dim": obj.dim,
-            "mult": _encode_linmap(field, obj.mult),
-            "unit": _encode_vector(field, obj.unit),
-            "label": obj.label,
-        }
-    if isinstance(obj, PointedSpace):
-        return {
-            "type": "pointed_space",
-            "dim": obj.dim,
-            "point": _encode_vector(field, obj.point),
-            "label": obj.label,
-        }
+def _encode_object(field: Field, obj: Any) -> dict:
+    tag = OBJECT_TAGS.get(type(obj))
+    if tag is None:
+        raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
     if isinstance(obj, LinMap):
-        return {"type": "linmap", **_encode_linmap(field, obj)}
-    if isinstance(obj, CrossedData):
-        return {
-            "type": "crossed_data",
-            "algebra": _encode_object(field, obj.a),
-            "space": _encode_object(field, obj.v),
-            "r": _encode_linmap(field, obj.r),
-            "sigma": _encode_linmap(field, obj.sigma),
-            "label": obj.label,
-        }
-    if isinstance(obj, TwistPair):
-        return {
-            "type": "twist_pair",
-            "theta": _encode_linmap(field, obj.theta),
-            "gamma": _encode_linmap(field, obj.gamma),
-        }
-    if isinstance(obj, QuasiBialgebra):
-        return {
-            "type": "quasi_bialgebra",
-            "algebra": _encode_object(field, obj.algebra),
-            "comult": _encode_linmap(field, obj.comult),
-            "counit": _encode_linmap(field, obj.counit),
-            "associator": _encode_vector(field, obj.associator),
-            "associator_inverse": _encode_vector(field, obj.associator_inverse),
-            "label": obj.label,
-        }
-    if isinstance(obj, GaugeTransformation):
-        return {
-            "type": "gauge_transformation",
-            "f": _encode_vector(field, obj.f),
-            "f_inverse": _encode_vector(field, obj.f_inverse),
-        }
-    if isinstance(obj, RightModuleAlgebra):
-        return {
-            "type": "right_module_algebra",
-            "dim": obj.dim,
-            "mult": _encode_linmap(field, obj.mult),
-            "unit": _encode_vector(field, obj.unit),
-            "action": _encode_linmap(field, obj.action),
-            "label": obj.label,
-        }
-    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+        return {"type": tag, **_encode_linmap(field, obj)}
+    out = {"type": tag}
+    for name, key, hint in _SCHEMAS[type(obj)]:
+        value = getattr(obj, name)
+        if hint is LinMap:
+            value = _encode_linmap(field, value)
+        elif hint in _SCHEMAS:
+            value = _encode_object(field, value)
+        elif hint not in (int, str):
+            value = _encode_vector(field, value)
+        out[key] = value
+    return out
 
 
 def _encode_field(field: Field) -> dict:
@@ -238,79 +206,38 @@ def _decode_linmap(field: Field, raw: Any, path: str) -> LinMap:
     return LinMap(field, domain_dims, codomain_dims, tuple(rows))
 
 
-def _decode_algebra(field: Field, raw: dict, path: str) -> Algebra:
-    dim = _get(raw, "dim", int, path)
-    mult = _decode_linmap(field, raw.get("mult"), f"{path}.mult")
-    unit = _decode_vector(field, raw.get("unit"), f"{path}.unit")
-    label = raw.get("label", "")
-    try:
-        return Algebra(dim, mult, unit, label=_expect(label, str, f"{path}.label"))
-    except ShapeError as exc:
-        raise DocumentError(path, str(exc)) from exc
-
-
-def _decode_pointed_space(field: Field, raw: dict, path: str) -> PointedSpace:
-    dim = _get(raw, "dim", int, path)
-    point = _decode_vector(field, raw.get("point"), f"{path}.point")
-    label = _expect(raw.get("label", ""), str, f"{path}.label")
-    if all(x == field.zero() for x in point):
+def _decode_object(field: Field, cls: type, raw: dict, path: str) -> Any:
+    values = {}
+    for name, key, hint in _SCHEMAS[cls]:
+        sub = f"{path}.{key}"
+        if hint is int:
+            values[name] = _get(raw, key, int, path)
+        elif hint is str:
+            values[name] = _expect(raw.get(key, ""), str, sub)
+        elif hint is LinMap:
+            values[name] = _decode_linmap(field, raw.get(key), sub)
+        elif hint in _SCHEMAS:
+            values[name] = _decode_object(field, hint, _get(raw, key, dict, path), sub)
+        else:
+            values[name] = _decode_vector(field, raw.get(key), sub)
+    # Checked ahead of the constructor so the error names the point itself.
+    if cls is PointedSpace and not any(values["point"]):
         raise DocumentError(f"{path}.point", "distinguished point must be nonzero")
     try:
-        return PointedSpace(dim, point, label=label)
+        return cls(**values)
     except ShapeError as exc:
         raise DocumentError(path, str(exc)) from exc
 
 
-def _decode_object(field: Field, raw: Any, path: str) -> DomainObject:
+def _decode_tagged(field: Field, raw: Any, path: str) -> Any:
     raw = _expect(raw, dict, path)
     kind = _get(raw, "type", str, path)
-    try:
-        if kind == "algebra":
-            return _decode_algebra(field, raw, path)
-        if kind == "pointed_space":
-            return _decode_pointed_space(field, raw, path)
-        if kind == "linmap":
-            return _decode_linmap(field, raw, path)
-        if kind == "crossed_data":
-            return CrossedData(
-                a=_decode_algebra(field, _get(raw, "algebra", dict, path), f"{path}.algebra"),
-                v=_decode_pointed_space(field, _get(raw, "space", dict, path), f"{path}.space"),
-                r=_decode_linmap(field, raw.get("r"), f"{path}.r"),
-                sigma=_decode_linmap(field, raw.get("sigma"), f"{path}.sigma"),
-                label=_expect(raw.get("label", ""), str, f"{path}.label"),
-            )
-        if kind == "twist_pair":
-            return TwistPair(
-                theta=_decode_linmap(field, raw.get("theta"), f"{path}.theta"),
-                gamma=_decode_linmap(field, raw.get("gamma"), f"{path}.gamma"),
-            )
-        if kind == "quasi_bialgebra":
-            return QuasiBialgebra(
-                algebra=_decode_algebra(field, _get(raw, "algebra", dict, path), f"{path}.algebra"),
-                comult=_decode_linmap(field, raw.get("comult"), f"{path}.comult"),
-                counit=_decode_linmap(field, raw.get("counit"), f"{path}.counit"),
-                associator=_decode_vector(field, raw.get("associator"), f"{path}.associator"),
-                associator_inverse=_decode_vector(
-                    field, raw.get("associator_inverse"), f"{path}.associator_inverse"
-                ),
-                label=_expect(raw.get("label", ""), str, f"{path}.label"),
-            )
-        if kind == "gauge_transformation":
-            return GaugeTransformation(
-                f=_decode_vector(field, raw.get("f"), f"{path}.f"),
-                f_inverse=_decode_vector(field, raw.get("f_inverse"), f"{path}.f_inverse"),
-            )
-        if kind == "right_module_algebra":
-            return RightModuleAlgebra(
-                dim=_get(raw, "dim", int, path),
-                mult=_decode_linmap(field, raw.get("mult"), f"{path}.mult"),
-                unit=_decode_vector(field, raw.get("unit"), f"{path}.unit"),
-                action=_decode_linmap(field, raw.get("action"), f"{path}.action"),
-                label=_expect(raw.get("label", ""), str, f"{path}.label"),
-            )
-    except ShapeError as exc:
-        raise DocumentError(path, str(exc)) from exc
-    raise DocumentError(f"{path}.type", f"unknown object type {kind!r}")
+    cls = OBJECT_TYPES.get(kind)
+    if cls is None:
+        raise DocumentError(f"{path}.type", f"unknown object type {kind!r}")
+    if cls is LinMap:
+        return _decode_linmap(field, raw, path)
+    return _decode_object(field, cls, raw, path)
 
 
 def _decode_field(raw: Any, path: str) -> Field:
@@ -330,7 +257,7 @@ def _decode_field(raw: Any, path: str) -> Field:
 def parse(text: str) -> SpecDocument:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError("$", f"not valid JSON: {exc}") from exc
     raw = _expect(raw, dict, "$")
     version = _get(raw, "format_version", str, "$")
@@ -340,5 +267,5 @@ def parse(text: str) -> SpecDocument:
     objects_raw = _get(raw, "objects", dict, "$")
     objects = {}
     for name in objects_raw:
-        objects[name] = _decode_object(field, objects_raw[name], f"$.objects.{name}")
+        objects[name] = _decode_tagged(field, objects_raw[name], f"$.objects.{name}")
     return SpecDocument(field=field, objects=objects, format_version=version)

@@ -190,6 +190,7 @@ def apply_twist(c: CrossedData, t: TwistPair) -> TwistResult:
     :class:`TheoremViolationError` if any certified conclusion fails, which
     cannot happen on valid inputs unless the implementation is wrong.
     """
+    check_algebra(c.a).require(TwistPreconditionError, "underlying algebra fails {law}: {detail}")
     check_brz_axioms(c).require(TwistPreconditionError, "crossed data fails {law}: {detail}")
     check_twist_conditions(c, t).require(TwistPreconditionError, "twist pair fails {law}: {detail}")
 

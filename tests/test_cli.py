@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from crosstwist.cli import main
+from crosstwist.io import SpecDocument, serialize
 
 
 def run_cli(args, capsys):
@@ -163,6 +164,17 @@ class TestTwistCommands:
         code, _, err = run_cli(["twist", "--input", str(path)], capsys)
         assert code == 2 and "twist_pair" in err
 
+    def test_twist_on_non_associative_algebra_is_check_failure(
+        self, non_associative, capsys, tmp_path
+    ):
+        data, pair = non_associative
+        doc = SpecDocument(field=data.field, objects={"crossed": data, "pair": pair})
+        path = tmp_path / "nonassoc.json"
+        path.write_text(serialize(doc))
+        code, out, err = run_cli(["twist", "--input", str(path)], capsys)
+        assert code == 1 and "[FAIL] assoc" in out
+        assert "Traceback" not in err
+
     def test_twist_rejected_pair_is_check_failure(self, emitted, capsys, tmp_path):
         path = emitted("gauge-c2")
         raw = json.loads(path.read_text())
@@ -196,7 +208,9 @@ class TestUsageErrors:
             code, out, err = run_cli(["corpus", "--field", spec], capsys)
             assert code == 2 and "must be prime" in err and out == ""
 
-    @pytest.mark.parametrize("case", ["directory", "non_utf8", "verify_iso_dims"])
+    @pytest.mark.parametrize(
+        "case", ["directory", "non_utf8", "deep_json", "verify_iso_dims", "twist_pair_dims"]
+    )
     def test_unreadable_or_mismatched_input_is_input_error(self, case, emitted, capsys, tmp_path):
         command = "validate"
         path = tmp_path / "doc.json"
@@ -204,6 +218,14 @@ class TestUsageErrors:
             path = tmp_path
         elif case == "non_utf8":
             path.write_bytes(b'{"field": "\xff"}')
+        elif case == "deep_json":
+            path.write_text("[" * 100000 + "]" * 100000)
+        elif case == "twist_pair_dims":
+            command = "twist"
+            raw = json.loads(emitted("ttp-flip-c2").read_text())
+            narrow = {"domain_dims": [1], "codomain_dims": [2, 1], "matrix": [["1/1"], ["0/1"]]}
+            raw["objects"]["pair"].update(theta=narrow, gamma=narrow)
+            path.write_text(json.dumps(raw))
         else:
             command = "verify-iso"
             run_cli(["twist", "--input", str(emitted("ttp-flip-c2")), "--output", str(path)], capsys)

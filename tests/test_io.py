@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 from pathlib import Path
 
@@ -43,6 +45,53 @@ class TestRoundTrip:
         assert check_brz_axioms(loaded.objects["crossed"]).passed
 
 
+def _mutation_paths(node, prefix=()):
+    """Every key of every dict, and the first and last item of every list."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = [(i, node[i]) for i in sorted({0, len(node) - 1}) if node]
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _mutation_paths(value, prefix + (key,))
+
+
+_DELETE = object()
+_MUTATIONS = (_DELETE, None, "x", 1, -1, [], {}, "0")
+
+# sha256 over "<document> <path> <mutation>: <DocumentError text or OK>" lines
+# for every structural mutation of the two Q documents that between them hold
+# all eight object types; pins every parse-error path and message.
+PARSE_ERROR_DIGEST = "907c8ec4bb3f7456d235ea5c696eaf7c84edfc5150e9f9193558ebc7c674690d"
+
+
+def test_parse_errors_of_structural_mutations_are_pinned(documents):
+    lines = []
+    for name in ("ttp-flip-c2", "gauge-v4"):
+        raw = json.loads(serialize(documents[name]))
+        for path in _mutation_paths(raw):
+            for value in _MUTATIONS:
+                mutated = copy.deepcopy(raw)
+                node = mutated
+                for key in path[:-1]:
+                    node = node[key]
+                if value is _DELETE:
+                    del node[path[-1]]
+                else:
+                    node[path[-1]] = value
+                try:
+                    parse(json.dumps(mutated))
+                    outcome = "OK"
+                except DocumentError as exc:
+                    outcome = str(exc)
+                label = "delete" if value is _DELETE else json.dumps(value)
+                lines.append(f"{name} {list(path)} {label}: {outcome}")
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == PARSE_ERROR_DIGEST
+
+
 def valid_text(documents):
     return serialize(documents["ttp-flip-c2"])
 
@@ -67,8 +116,9 @@ class TestRejections:
             parse(json.dumps(raw))
 
     def test_malformed_json(self):
-        with pytest.raises(DocumentError, match="not valid JSON"):
-            parse("{not json")
+        for text in ("{not json", "[" * 100000 + "]" * 100000):
+            with pytest.raises(DocumentError, match="not valid JSON"):
+                parse(text)
 
     def test_unknown_object_type(self, documents):
         raw = json.loads(valid_text(documents))

@@ -140,6 +140,12 @@ class TestApplyTwist:
         with pytest.raises(TwistPreconditionError, match="brz1"):
             apply_twist(bad, pair)
 
+    def test_rejects_non_associative_algebra(self, non_associative):
+        data, pair = non_associative
+        assert check_brz_axioms(data).passed
+        with pytest.raises(TwistPreconditionError, match="underlying algebra fails assoc"):
+            apply_twist(data, pair)
+
     def test_round_trip_with_swapped_pair(self, corpus):
         for inst in corpus:
             if inst.pair is None:
