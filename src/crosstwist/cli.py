@@ -25,7 +25,7 @@ from .corpus import (
 )
 from .crossed import CrossedData, InvalidDataError, build_crossed_product, check_brz_axioms
 from .fields import CharacteristicError, Field, FieldError, Rationals, parse_field_spec
-from .io import OBJECT_TAGS, DocumentError, SpecDocument, parse, report_to_json, serialize
+from .io import OBJECT_TAGS, DocumentError, SpecDocument, parse, report_checks, serialize
 from .linmap import LinMap
 from .report import AxiomReport, format_check, merge
 from .twist import (
@@ -34,7 +34,6 @@ from .twist import (
     TwistPreconditionError,
     TwistResult,
     apply_twist,
-    check_twist_conditions,
     verify_twist_result,
 )
 
@@ -87,7 +86,7 @@ def _report_result(name: str, kind: str, report: AxiomReport) -> dict:
         "object": name,
         "kind": kind,
         "passed": report.passed,
-        "checks": json.loads(report_to_json(report))["checks"],
+        "checks": report_checks(report),
         "lines": [format_check(c) for c in report.checks],
     }
 
@@ -105,11 +104,15 @@ def _violations_result(name: str, kind: str, violations: list[str], note: str = 
     }
 
 
-def _find_quasi(doc: SpecDocument) -> QuasiBialgebra | None:
+def _find_quasi(doc: SpecDocument, name: str, what: str) -> QuasiBialgebra:
     if isinstance(doc.objects.get("quasi"), QuasiBialgebra):
         return doc.objects["quasi"]
     candidates = [o for o in doc.objects.values() if isinstance(o, QuasiBialgebra)]
-    return candidates[0] if len(candidates) == 1 else None
+    if len(candidates) != 1:
+        raise DocumentError(
+            f"$.objects.{name}", f"{what} validation needs a quasi_bialgebra object"
+        )
+    return candidates[0]
 
 
 def _validate_one(doc: SpecDocument, name: str) -> dict:
@@ -125,18 +128,10 @@ def _validate_one(doc: SpecDocument, name: str) -> dict:
         violations = quasi_bialgebra_violations(obj) + pentagon_violations(obj)
         return _violations_result(name, kind, violations)
     if isinstance(obj, GaugeTransformation):
-        quasi = _find_quasi(doc)
-        if quasi is None:
-            raise DocumentError(
-                f"$.objects.{name}", "gauge validation needs a quasi_bialgebra object"
-            )
+        quasi = _find_quasi(doc, name, "gauge")
         return _violations_result(name, kind, gauge_violations(quasi, obj))
     if isinstance(obj, RightModuleAlgebra):
-        quasi = _find_quasi(doc)
-        if quasi is None:
-            raise DocumentError(
-                f"$.objects.{name}", "module-algebra validation needs a quasi_bialgebra object"
-            )
+        quasi = _find_quasi(doc, name, "module-algebra")
         return _violations_result(name, kind, module_algebra_violations(quasi, obj))
     return _violations_result(name, kind, [], note="shape invariants hold (checked at parse)")
 
@@ -194,18 +189,15 @@ def cmd_twist(args) -> int:
         raise DocumentError(f"$.objects.{args.pair}", f"expected a map ({n},) -> ({m}, {n})")
     if _algebra_fails(args, name, data.a):
         return EXIT_FAILED
-
-    hypotheses = merge(check_brz_axioms(data).checks, check_twist_conditions(data, pair).checks)
-    if not hypotheses.passed:
-        _print_report(args, [_report_result(name, "twist_hypotheses", hypotheses)])
-        return EXIT_FAILED
     try:
         result = apply_twist(data, pair)
-    except (TwistPreconditionError, TheoremViolationError) as exc:
+    except TwistPreconditionError as exc:
+        _print_report(args, [_report_result(name, "twist_hypotheses", exc.report)])
+        return EXIT_FAILED
+    except TheoremViolationError as exc:
         sys.stdout.write(f"[FAIL] {exc}\n")
         return EXIT_FAILED
-    report = verify_twist_result(data, result)
-    _print_report(args, [_report_result(name, "twist_result", report)])
+    _print_report(args, [_report_result(name, "twist_result", result.conclusion)])
     if args.output:
         _emit(
             args,
@@ -221,7 +213,7 @@ def cmd_twist(args) -> int:
                 },
             ),
         )
-    return EXIT_OK if report.passed else EXIT_FAILED
+    return EXIT_OK
 
 
 def cmd_verify_iso(args) -> int:
@@ -258,20 +250,16 @@ def cmd_verify_iso(args) -> int:
 
 
 def _instance_document(field: Field, instance) -> SpecDocument:
-    objects: dict = {"crossed": instance.data}
-    if instance.pair is not None:
-        objects["pair"] = instance.pair
-    if instance.twisting is not None:
-        objects["algebra_b"] = instance.twisting.b
-    if instance.star is not None:
-        objects["star"] = instance.star
-    if instance.quasi is not None:
-        objects["quasi"] = instance.quasi
-    if instance.module_algebra is not None:
-        objects["module_algebra"] = instance.module_algebra
-    if instance.gauge is not None:
-        objects["gauge"] = instance.gauge
-    return SpecDocument(field=field, objects=objects)
+    objects = {
+        "crossed": instance.data,
+        "pair": instance.pair,
+        "algebra_b": instance.twisting.b if instance.twisting is not None else None,
+        "star": instance.star,
+        "quasi": instance.quasi,
+        "module_algebra": instance.module_algebra,
+        "gauge": instance.gauge,
+    }
+    return SpecDocument(field=field, objects={k: v for k, v in objects.items() if v is not None})
 
 
 def cmd_corpus(args) -> int:

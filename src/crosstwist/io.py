@@ -118,21 +118,23 @@ def serialize(doc: SpecDocument) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def report_checks(report: AxiomReport) -> list[dict]:
+    """The JSON form of each check of ``report``, in report order."""
+    return [
+        {
+            "law_name": c.law,
+            "passed": c.passed,
+            "first_counterexample": (
+                list(c.first_counterexample) if c.first_counterexample is not None else None
+            ),
+            "detail": c.detail,
+        }
+        for c in report.checks
+    ]
+
+
 def report_to_json(report: AxiomReport) -> str:
-    payload = {
-        "checks": [
-            {
-                "law_name": c.law,
-                "passed": c.passed,
-                "first_counterexample": (
-                    list(c.first_counterexample) if c.first_counterexample is not None else None
-                ),
-                "detail": c.detail,
-            }
-            for c in report.checks
-        ]
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps({"checks": report_checks(report)}, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .linmap import LinMap, first_difference
@@ -84,10 +85,13 @@ class AxiomReport:
         raise KeyError(f"report has no check for law {law!r}")
 
     def require(self, error: type[Exception], template: str) -> None:
-        """Raise ``error`` for the first failed law; the template sees {law} and {detail}."""
+        """Raise ``error`` for the first failed law; the template sees {law} and {detail}.
+        The exception carries this whole report as its ``report`` attribute."""
         if not self.passed:
             bad = self.failures[0]
-            raise error(template.format(law=bad.law, detail=bad.detail))
+            exc = error(template.format(law=bad.law, detail=bad.detail))
+            exc.report = self
+            raise exc
 
     def __str__(self) -> str:
         return "\n".join(format_check(c) for c in self.checks)
@@ -113,7 +117,4 @@ def law_from_maps(law: str, lhs: LinMap, rhs: LinMap) -> LawCheck:
 
 
 def merge(*parts: Iterable[LawCheck]) -> AxiomReport:
-    checks: list[LawCheck] = []
-    for part in parts:
-        checks.extend(part)
-    return AxiomReport(tuple(checks))
+    return AxiomReport(tuple(chain.from_iterable(parts)))

@@ -11,7 +11,7 @@ identities; nothing is taken on faith from the constructions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field, replace
 
 from .algebra import Algebra, PointedSpace, check_algebra, mu2, opposite_unit_insertion
 from .crossed import (
@@ -34,7 +34,7 @@ from .linmap import (
     random_matrix_map,
     tensor_map,
 )
-from .report import AxiomReport, LawCheck, law_from_maps
+from .report import AxiomReport, LawCheck, law_from_maps, merge
 
 
 class TwistPreconditionError(ValueError):
@@ -67,6 +67,8 @@ class TwistResult:
     data_prime: CrossedData
     phi: LinMap
     phi_inverse: LinMap
+    # apply_twist's certificate: brz1..brz5 of data_prime and the laws of phi
+    conclusion: AxiomReport = dc_field(default_factory=AxiomReport, compare=False)
 
 
 def trivial_pair(a: Algebra, v: PointedSpace) -> TwistPair:
@@ -129,6 +131,11 @@ def check_mutual_inverse(a: Algebra, v: PointedSpace, t: TwistPair) -> tuple[Law
 
 def check_twist_conditions(c: CrossedData, t: TwistPair) -> AxiomReport:
     """All four twisting hypotheses; cros4 is evaluated against sigma' itself."""
+    return _twist_conditions(c, t)[0]
+
+
+def _twist_conditions(c: CrossedData, t: TwistPair) -> tuple[AxiomReport, LinMap]:
+    """cros1..cros4 together with the sigma' that cros4 was checked against."""
     field = c.field
     m, n = c.a.dim, c.v.dim
     if t.theta.domain_dims != (n,) or t.theta.codomain_dims != (m, n):
@@ -153,17 +160,16 @@ def check_twist_conditions(c: CrossedData, t: TwistPair) -> AxiomReport:
     )
     rhs = compose(tensor_map(c.a.mult, id_v), compose(tensor_map(id_a, t.gamma), c.sigma))
     checks.append(law_from_maps("cros4", lhs, rhs))
-    return AxiomReport(tuple(checks))
+    return AxiomReport(tuple(checks)), sigma_prime
 
 
 def verify_twist_result(c: CrossedData, result: TwistResult) -> AxiomReport:
     """Re-check a twist outcome: the five axioms for the new data plus the
     three isomorphism identities for phi against both products."""
     field = c.field
-    m, n = c.a.dim, c.v.dim
     checks = list(check_brz_axioms(result.data_prime).checks)
 
-    id_av = identity(field, (m, n))
+    id_av = identity(field, (c.a.dim, c.v.dim))
     fwd = compose(result.phi, result.phi_inverse)
     bwd = compose(result.phi_inverse, result.phi)
     invertible = law_from_maps("phi_invertible", fwd, id_av)
@@ -186,16 +192,19 @@ def verify_twist_result(c: CrossedData, result: TwistResult) -> AxiomReport:
 def apply_twist(c: CrossedData, t: TwistPair) -> TwistResult:
     """Run the full twist: validate hypotheses, build (R', sigma'), certify phi.
 
-    Raises :class:`TwistPreconditionError` when a hypothesis fails and
+    Raises :class:`TwistPreconditionError` when a hypothesis fails, with the
+    brz1..brz5 and cros1..cros4 checks as its ``report``, and
     :class:`TheoremViolationError` if any certified conclusion fails, which
     cannot happen on valid inputs unless the implementation is wrong.
     """
     check_algebra(c.a).require(TwistPreconditionError, "underlying algebra fails {law}: {detail}")
-    check_brz_axioms(c).require(TwistPreconditionError, "crossed data fails {law}: {detail}")
-    check_twist_conditions(c, t).require(TwistPreconditionError, "twist pair fails {law}: {detail}")
+    crossed = check_brz_axioms(c)
+    conditions, sigma_prime = _twist_conditions(c, t)
+    merge(crossed.checks, conditions.checks).require(
+        TwistPreconditionError, "twist hypothesis {law} fails: {detail}"
+    )
 
     r_prime = make_r_prime(c, t)
-    sigma_prime = make_sigma_prime(c, t)
     result = TwistResult(
         r_prime=r_prime,
         sigma_prime=sigma_prime,
@@ -203,10 +212,11 @@ def apply_twist(c: CrossedData, t: TwistPair) -> TwistResult:
         phi=phi_map(c.a, t.theta),
         phi_inverse=phi_map(c.a, t.gamma),
     )
-    verify_twist_result(c, result).require(
+    conclusion = verify_twist_result(c, result)
+    conclusion.require(
         TheoremViolationError, "certified conclusion {law} failed on valid inputs: {detail}"
     )
-    return result
+    return replace(result, conclusion=conclusion)
 
 
 def specialize_ttp(t: TwistingMapData, star: LinMap, pair: TwistPair) -> AxiomReport:
@@ -253,9 +263,8 @@ def specialize_ttp(t: TwistingMapData, star: LinMap, pair: TwistPair) -> AxiomRe
     )
     checks.append(law_from_maps("rel1", lhs, rhs))
 
-    cros2, cros3 = check_mutual_inverse(t.a, data.v, pair)
-    checks.append(LawCheck("rel2", cros2.passed, cros2.first_counterexample, cros2.detail))
-    checks.append(LawCheck("rel3", cros3.passed, cros3.first_counterexample, cros3.detail))
+    mutual = check_mutual_inverse(t.a, data.v, pair)
+    checks.extend(replace(c, law=law) for law, c in zip(("rel2", "rel3"), mutual))
 
     iota = opposite_unit_insertion(t.a, data.v)
     checks.append(

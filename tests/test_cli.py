@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+import crosstwist
 from crosstwist.cli import main
 from crosstwist.io import SpecDocument, serialize
 
@@ -191,6 +193,44 @@ class TestTwistCommands:
         bad.write_text(json.dumps(raw))
         code, out, _ = run_cli(["twist", "--input", str(bad)], capsys)
         assert code == 1 and "[FAIL] cros" in out
+
+
+COUNTED = ("make_sigma_prime", "verify_twist_result", "check_brz_axioms", "crossed_mult")
+
+
+@pytest.fixture()
+def call_counts(monkeypatch):
+    """Calls of each COUNTED function, through every module that binds it."""
+    counts = Counter()
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "crosstwist"]
+    for name in COUNTED:
+        original = getattr(crosstwist, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestTwistCallCounts:
+    def test_twist_command_runs_each_check_once(self, emitted, call_counts, capsys):
+        path = emitted("gauge-c2")
+        call_counts.clear()
+        code, out, _ = run_cli(["twist", "--input", str(path)], capsys)
+        assert code == 0 and "[PASS] phi_mult" in out
+        assert call_counts["make_sigma_prime"] == 1
+        assert call_counts["verify_twist_result"] == 1
+        assert call_counts["check_brz_axioms"] <= 2
+        assert call_counts["crossed_mult"] <= 3
+
+    def test_apply_twist_builds_sigma_prime_once(self, by_name, call_counts):
+        inst = by_name["gauge-c2"]
+        crosstwist.apply_twist(inst.data, inst.pair)
+        assert call_counts["make_sigma_prime"] == 1
 
 
 class TestUsageErrors:

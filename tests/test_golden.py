@@ -8,8 +8,10 @@ counterexamples and detail strings all enter the digests, so any change to
 them fails here.
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 from pathlib import Path
 
 import pytest
@@ -24,10 +26,12 @@ from crosstwist import (
     check_twist_conditions,
     check_twisting_map,
     verify_twist_result,
+    zero_map,
 )
-from crosstwist.cli import _instance_document
-from crosstwist.crossed import TwistingMapData
-from crosstwist.io import report_to_json, serialize
+from crosstwist.cli import _instance_document, main
+from crosstwist.crossed import TwistingMapData, with_r
+from crosstwist.io import SpecDocument, report_to_json, serialize
+from crosstwist.linmap import scale
 
 _SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "mutation_sweep.py"
 _spec = importlib.util.spec_from_file_location("mutation_sweep", _SWEEP)
@@ -138,3 +142,57 @@ def test_mutation_reports_are_pinned(field_name):
             got[f"{field_name}/{inst.name}/inputs"] = _sha(extra)
     want = {k: v for k, v in REPORT_DIGESTS.items() if k.startswith(f"{field_name}/")}
     assert got == want
+
+
+def _twist_cases(corpus_q, non_associative):
+    """name -> (document, --report) for every ``twist`` input pinned below."""
+    for field_name in sorted(FIELDS):
+        field = FIELDS[field_name]
+        insts = corpus_q if field_name == "Q" else _corpus(field_name)
+        for inst in insts:
+            if inst.pair is not None:
+                yield f"{field_name}/{inst.name}", _instance_document(field, inst), "json"
+    by_name = {inst.name: inst for inst in corpus_q}
+    field = FIELDS["Q"]
+    yield "Q/gauge-c2/text", _instance_document(field, by_name["gauge-c2"]), "text"
+    data, pair = non_associative
+    yield "Q/non-associative", SpecDocument(field, {"crossed": data, "pair": pair}), "json"
+    gauge = by_name["gauge-c2"]
+    doubled = TwistPair(gauge.pair.theta, scale(gauge.pair.gamma, field.from_int(2)))
+    yield "Q/gauge-c2/doubled-gamma", SpecDocument(field, {"crossed": gauge.data, "pair": doubled}), "json"
+    flip = by_name["ttp-flip-c2"]
+    zeroed = with_r(flip.data, zero_map(field, (2, 2), (2, 2)))
+    yield "Q/ttp-flip-c2/zero-r", SpecDocument(field, {"crossed": zeroed, "pair": flip.pair}), "json"
+
+
+TWIST_DIGESTS = {
+    "GF5/ttp-flip-c2": "dac990b7f2ee02ee1b9c7a9eb082884ae8a7b3bd832f5f2305092ef2bd16b2f8",
+    "GF5/gauge-c2": "28bdc823aa9da34aab4f6b42ebfb4a9f24a61ea110ade2d73780d0c603df18dd",
+    "GF5/ttp-star-c2": "cc14a4fffa5f0bfa64d7ae5ec25059a78f5fe2c30d3fceccebd41a357af49330",
+    "GF5/gauge-v4": "0ab1a353e2fc01de131a38cfcc0c425dcdb6a494854e793df2e258dc0a154307",
+    "GF5/smash-v4-twisted": "367e71dbfd62f04b1cc8e79762fc88507f9731e278209379009c2fe57a283ca3",
+    "Q/ttp-flip-c2": "4fdfda91e5bdce60bffb5d69487f626f336abcb05b6e2731bee62edcfec898fa",
+    "Q/gauge-c2": "72cc1f49f42cb9a2da50a2aa609a7fb25d72bf9760d11a211b63d46e054e8692",
+    "Q/ttp-star-c2": "5ebd2cb094dc2610e0fd0299b771334888be6f1eb4903ec870e3d534e9eb69cd",
+    "Q/gauge-v4": "30eb351ed07ee999792f02a8d070e740e68a80b340dbf1c4276637ed16f4bc97",
+    "Q/smash-v4-twisted": "eea747409ac785b8acbaaeb24ae9d012c8a28680710c7573f73d488942ce39e3",
+    "Q/gauge-c2/text": "dc43ef5422e23a09623d99da9f1a4cd92145d581da3e55bdb997bbe91b8ae6e8",
+    "Q/non-associative": "cbc26ac5260c0a8e6891fe96c6825cb4cfa14a2818ad7925bced3e2e501ff8f4",
+    "Q/gauge-c2/doubled-gamma": "466cfa6a997873612bc7d315af023a7ce490e52254142e880f5d3911c8ee29e7",
+    "Q/ttp-flip-c2/zero-r": "988d8e460146e9bae74ac23ded165cbc7f791867125bc364dfd905e25d0be44a",
+}
+
+
+def test_twist_command_output_is_pinned(corpus, non_associative, tmp_path):
+    """Exit code, stdout and the --output document of ``crosstwist twist``."""
+    got = {}
+    for name, doc, report in _twist_cases(corpus, non_associative):
+        src, dst = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(serialize(doc), encoding="utf-8")
+        dst.unlink(missing_ok=True)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["twist", "--input", str(src), "--report", report, "--output", str(dst)])
+        written = dst.read_text(encoding="utf-8") if dst.exists() else ""
+        got[name] = _sha([f"{code}\n", out.getvalue(), written])
+    assert got == TWIST_DIGESTS
