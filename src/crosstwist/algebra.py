@@ -18,6 +18,7 @@ from .linmap import (
     kron_vec,
     reshape,
     tensor_map,
+    unflatten,
 )
 from .report import AxiomReport, LawCheck, law_from_maps
 
@@ -199,32 +200,30 @@ def tensor_elem_product(
     Works coordinatewise over the nonzero entries, so it stays cheap even
     where the full multiplication matrix of the power algebra would not.
     """
-    from .linmap import flat_index, unflatten
-
     field = a.field
     m = a.dim
     dims = (m,) * k
     total = m**k
     if len(u) != total or len(v) != total:
         raise ShapeError(f"expected vectors of length {total} in the {k}-fold power")
-    zero = field.zero()
-    out = [zero] * total
-    nz_u = [(unflatten(i, dims), x) for i, x in enumerate(u) if x != zero]
-    nz_v = [(unflatten(i, dims), x) for i, x in enumerate(v) if x != zero]
+    add, mul = field.add, field.mul
+    # table[i*m + j]: the nonzero (w, c) with e_i e_j = sum of c e_w
+    table = [[] for _ in range(m * m)]
+    for w, row in enumerate(a.mult.matrix):
+        for col, c in enumerate(row):
+            if c:
+                table[col].append((w, c))
+    out = [field.zero()] * total
+    nz_u = [(unflatten(i, dims), x) for i, x in enumerate(u) if x]
+    nz_v = [(unflatten(i, dims), x) for i, x in enumerate(v) if x]
     for ia, xa in nz_u:
         for ib, xb in nz_v:
-            terms = [((), field.mul(xa, xb))]
+            terms = [(0, mul(xa, xb))]
             for t in range(k):
-                col = a.basis_product(ia[t], ib[t])
-                terms = [
-                    (idx + (w,), field.mul(coeff, col[w]))
-                    for idx, coeff in terms
-                    for w in range(m)
-                    if col[w] != zero
-                ]
-            for idx, coeff in terms:
-                flat = flat_index(idx, dims)
-                out[flat] = field.add(out[flat], coeff)
+                col = table[ia[t] * m + ib[t]]
+                terms = [(flat * m + w, mul(coeff, c)) for flat, coeff in terms for w, c in col]
+            for flat, coeff in terms:
+                out[flat] = add(out[flat], coeff)
     return tuple(out)
 
 

@@ -201,18 +201,21 @@ def check_brz_axioms(c: CrossedData) -> AxiomReport:
     return AxiomReport(tuple(checks))
 
 
+def _product_legs(c: CrossedData) -> tuple[LinMap, LinMap, LinMap]:
+    """mu2 (x) id, id (x) id (x) sigma and id (x) R (x) id; their composite,
+    in this order from the left, is the product on A (x) V."""
+    id_a, id_v = identity(c.field, (c.a.dim,)), identity(c.field, (c.v.dim,))
+    return (
+        tensor_map(mu2(c.a), id_v),
+        tensor_map(tensor_map(id_a, id_a), c.sigma),
+        tensor_map(tensor_map(id_a, c.r), id_v),
+    )
+
+
 def crossed_mult(c: CrossedData) -> LinMap:
     """The product on A (x) V as a map (m, n, m, n) -> (m, n)."""
-    field = c.field
-    m, n = c.a.dim, c.v.dim
-    id_a, id_v = identity(field, (m,)), identity(field, (n,))
-    return compose(
-        tensor_map(mu2(c.a), id_v),
-        compose(
-            tensor_map(tensor_map(id_a, id_a), c.sigma),
-            tensor_map(tensor_map(id_a, c.r), id_v),
-        ),
-    )
+    mu2_v, sigma, r = _product_legs(c)
+    return compose(compose(mu2_v, sigma), r)
 
 
 def build_crossed_product(c: CrossedData) -> Algebra:

@@ -8,7 +8,8 @@ extend the same rule to the left.  With that convention the tensor product
 of maps is the Kronecker product of their matrices.
 
 All values are immutable after construction and every operation is a pure
-function.
+function.  Entries are validated when a map is constructed; the products here
+build their results from already-canonical entries and skip that check.
 """
 
 from __future__ import annotations
@@ -87,6 +88,18 @@ class LinMap:
             )
         object.__setattr__(self, "matrix", rows)
 
+    @classmethod
+    def _trusted(cls, field: Field, domain_dims, codomain_dims, matrix) -> LinMap:
+        """A map from canonical scalars in a checked shape, without revalidation."""
+        f = object.__new__(cls)
+        f.__dict__.update(
+            field=field,
+            domain_dims=tuple(domain_dims),
+            codomain_dims=tuple(codomain_dims),
+            matrix=matrix,
+        )
+        return f
+
     @property
     def domain_total(self) -> int:
         return _total(self.domain_dims)
@@ -122,13 +135,6 @@ def identity(field: Field, dims: Sequence[int]) -> LinMap:
     return LinMap(field, dims, dims, rows)
 
 
-def zero_map(field: Field, domain_dims: Sequence[int], codomain_dims: Sequence[int]) -> LinMap:
-    zero = field.zero()
-    dt, ct = _total(domain_dims), _total(codomain_dims)
-    rows = tuple(tuple(zero for _ in range(dt)) for _ in range(ct))
-    return LinMap(field, tuple(domain_dims), tuple(codomain_dims), rows)
-
-
 class MapBuilder:
     """Accumulates matrix entries for maps assembled by explicit index loops."""
 
@@ -152,45 +158,48 @@ class MapBuilder:
         )
 
 
+def _nonzeros(row: Sequence[Scalar]) -> list[tuple[int, Scalar]]:
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
 def compose(f: LinMap, g: LinMap) -> LinMap:
-    """Matrix product f.g, i.e. the map x -> f(g(x))."""
+    """Matrix product f.g, i.e. the map x -> f(g(x)), over nonzeros only: row i
+    gains a.b for each nonzero a = f[i][t] and each nonzero b in row t of g."""
     field = _require_same_field(f, g)
     if f.domain_total != g.codomain_total:
         raise ShapeError(
             f"compose: domain total {f.domain_total} of the outer map does not match "
             f"codomain total {g.codomain_total} of the inner map"
         )
-    n, m = f.codomain_total, g.domain_total
-    fm, gm = f.matrix, g.matrix
-    zero = field.zero()
+    add, mul, zero = field.add, field.mul, field.zero()
+    g_rows = [_nonzeros(row) for row in g.matrix]
     rows = []
-    for i in range(n):
-        nonzero = [(t, a) for t, a in enumerate(fm[i]) if a != zero]
-        row = []
-        for j in range(m):
-            acc = zero
-            for t, a in nonzero:
-                b = gm[t][j]
-                if b != zero:
-                    acc = field.add(acc, field.mul(a, b))
-            row.append(acc)
+    for f_row in f.matrix:
+        row = [zero] * g.domain_total
+        for t, a in _nonzeros(f_row):
+            for j, b in g_rows[t]:
+                row[j] = add(row[j], mul(a, b))
         rows.append(tuple(row))
-    return LinMap(field, g.domain_dims, f.codomain_dims, tuple(rows))
+    return LinMap._trusted(field, g.domain_dims, f.codomain_dims, tuple(rows))
 
 
 def tensor_map(f: LinMap, g: LinMap) -> LinMap:
-    """Kronecker product; factor lists concatenate."""
+    """Kronecker product; factor lists concatenate.  Only products of nonzero
+    pairs are computed; every other entry is the field's zero."""
     field = _require_same_field(f, g)
-    gm_rows, gm_cols = g.codomain_total, g.domain_total
+    mul, zero = field.mul, field.zero()
+    width = g.domain_total
+    g_rows = [_nonzeros(row) for row in g.matrix]
     rows = []
-    for i in range(f.codomain_total):
-        for p in range(gm_rows):
-            row = []
-            for j in range(f.domain_total):
-                a = f.matrix[i][j]
-                row.extend(field.mul(a, g.matrix[p][q]) for q in range(gm_cols))
+    for f_row in f.matrix:
+        f_nz = [(j * width, a) for j, a in _nonzeros(f_row)]
+        for g_nz in g_rows:
+            row = [zero] * (f.domain_total * width)
+            for offset, a in f_nz:
+                for q, b in g_nz:
+                    row[offset + q] = mul(a, b)
             rows.append(tuple(row))
-    return LinMap(
+    return LinMap._trusted(
         field,
         f.domain_dims + g.domain_dims,
         f.codomain_dims + g.codomain_dims,
@@ -249,7 +258,7 @@ def reshape(f: LinMap, domain_dims: Sequence[int], codomain_dims: Sequence[int])
         raise ShapeError(
             f"reshape to {tuple(codomain_dims)}x{tuple(domain_dims)} changes flat totals"
         )
-    return LinMap(f.field, tuple(domain_dims), tuple(codomain_dims), f.matrix)
+    return LinMap._trusted(f.field, domain_dims, codomain_dims, f.matrix)
 
 
 def flip(field: Field, dim_x: int, dim_y: int) -> LinMap:
@@ -262,13 +271,6 @@ def flip(field: Field, dim_x: int, dim_y: int) -> LinMap:
             row[p * dim_y + q] = one
             rows.append(tuple(row))
     return LinMap(field, (dim_x, dim_y), (dim_y, dim_x), tuple(rows))
-
-
-def scale(f: LinMap, c: Scalar) -> LinMap:
-    field = f.field
-    c = field.check(c)
-    rows = tuple(tuple(field.mul(c, x) for x in row) for row in f.matrix)
-    return LinMap(field, f.domain_dims, f.codomain_dims, rows)
 
 
 def invert(f: LinMap) -> LinMap:

@@ -17,6 +17,7 @@ from .algebra import Algebra, PointedSpace, check_algebra, mu2, opposite_unit_in
 from .crossed import (
     CrossedData,
     TwistingMapData,
+    _product_legs,
     check_brz_axioms,
     check_twisting_map,
     crossed_mult,
@@ -99,16 +100,11 @@ def make_r_prime(c: CrossedData, t: TwistPair) -> LinMap:
 
 def make_sigma_prime(c: CrossedData, t: TwistPair) -> LinMap:
     """sigma' = (mu (x) id).(id (x) gamma) applied after the old product of theta-images."""
-    field = c.field
-    id_a = identity(field, (c.a.dim,))
-    id_v = identity(field, (c.v.dim,))
-    return compose(
-        tensor_map(c.a.mult, id_v),
-        compose(
-            tensor_map(id_a, t.gamma),
-            compose(crossed_mult(c), tensor_map(t.theta, t.theta)),
-        ),
-    )
+    id_a, id_v = identity(c.field, (c.a.dim,)), identity(c.field, (c.v.dim,))
+    # the old product, leg by leg from the right, so it is never built on all of A(x)V(x)A(x)V
+    mu2_v, sigma, r = _product_legs(c)
+    products = compose(mu2_v, compose(sigma, compose(r, tensor_map(t.theta, t.theta))))
+    return compose(tensor_map(c.a.mult, id_v), compose(tensor_map(id_a, t.gamma), products))
 
 
 def check_pair_units(a: Algebra, v: PointedSpace, t: TwistPair) -> LawCheck:

@@ -1,7 +1,102 @@
 """Independent brute-force oracles: plain nested loops over structure constants,
-sharing no code with the composite-based kernel routines they cross-check."""
+sharing no code with the composite-based kernel routines they cross-check.
 
-from crosstwist import LinMap, MapBuilder
+Also the dense forms of the product kernels (every entry visited, zeros
+included), kept as the reference the sparse kernels are tested against, and
+two small map builders that only tests use."""
+
+from crosstwist import LinMap, MapBuilder, ShapeError
+from crosstwist.linmap import _require_same_field, _total, flat_index, unflatten
+
+
+def zero_map(field, domain_dims, codomain_dims) -> LinMap:
+    zero = field.zero()
+    dt, ct = _total(domain_dims), _total(codomain_dims)
+    rows = tuple(tuple(zero for _ in range(dt)) for _ in range(ct))
+    return LinMap(field, tuple(domain_dims), tuple(codomain_dims), rows)
+
+
+def scale(f: LinMap, c) -> LinMap:
+    field = f.field
+    c = field.check(c)
+    rows = tuple(tuple(field.mul(c, x) for x in row) for row in f.matrix)
+    return LinMap(field, f.domain_dims, f.codomain_dims, rows)
+
+
+def dense_compose(f: LinMap, g: LinMap) -> LinMap:
+    """Matrix product f.g, i.e. the map x -> f(g(x))."""
+    field = _require_same_field(f, g)
+    if f.domain_total != g.codomain_total:
+        raise ShapeError(
+            f"compose: domain total {f.domain_total} of the outer map does not match "
+            f"codomain total {g.codomain_total} of the inner map"
+        )
+    n, m = f.codomain_total, g.domain_total
+    fm, gm = f.matrix, g.matrix
+    zero = field.zero()
+    rows = []
+    for i in range(n):
+        nonzero = [(t, a) for t, a in enumerate(fm[i]) if a != zero]
+        row = []
+        for j in range(m):
+            acc = zero
+            for t, a in nonzero:
+                b = gm[t][j]
+                if b != zero:
+                    acc = field.add(acc, field.mul(a, b))
+            row.append(acc)
+        rows.append(tuple(row))
+    return LinMap(field, g.domain_dims, f.codomain_dims, tuple(rows))
+
+
+def dense_tensor_map(f: LinMap, g: LinMap) -> LinMap:
+    """Kronecker product; factor lists concatenate."""
+    field = _require_same_field(f, g)
+    gm_rows, gm_cols = g.codomain_total, g.domain_total
+    rows = []
+    for i in range(f.codomain_total):
+        for p in range(gm_rows):
+            row = []
+            for j in range(f.domain_total):
+                a = f.matrix[i][j]
+                row.extend(field.mul(a, g.matrix[p][q]) for q in range(gm_cols))
+            rows.append(tuple(row))
+    return LinMap(
+        field,
+        f.domain_dims + g.domain_dims,
+        f.codomain_dims + g.codomain_dims,
+        tuple(rows),
+    )
+
+
+def dense_tensor_elem_product(a, k: int, u, v):
+    """Product of two elements of the k-fold tensor power algebra of ``a``,
+    one ``basis_product`` column per pair of nonzero basis factors."""
+    field = a.field
+    m = a.dim
+    dims = (m,) * k
+    total = m**k
+    if len(u) != total or len(v) != total:
+        raise ShapeError(f"expected vectors of length {total} in the {k}-fold power")
+    zero = field.zero()
+    out = [zero] * total
+    nz_u = [(unflatten(i, dims), x) for i, x in enumerate(u) if x != zero]
+    nz_v = [(unflatten(i, dims), x) for i, x in enumerate(v) if x != zero]
+    for ia, xa in nz_u:
+        for ib, xb in nz_v:
+            terms = [((), field.mul(xa, xb))]
+            for t in range(k):
+                col = a.basis_product(ia[t], ib[t])
+                terms = [
+                    (idx + (w,), field.mul(coeff, col[w]))
+                    for idx, coeff in terms
+                    for w in range(m)
+                    if col[w] != zero
+                ]
+            for idx, coeff in terms:
+                flat = flat_index(idx, dims)
+                out[flat] = field.add(out[flat], coeff)
+    return tuple(out)
 
 
 def naive_matmul(f: LinMap, g: LinMap) -> LinMap:

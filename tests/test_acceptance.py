@@ -35,9 +35,8 @@ from crosstwist import (
 )
 from crosstwist.cli import _instance_document
 from crosstwist.io import report_to_json, serialize
-from crosstwist.linmap import scale
 from crosstwist.twist import check_mutual_inverse, check_pair_units
-from oracles import sweedler_r_prime, sweedler_sigma_prime
+from oracles import scale, sweedler_r_prime, sweedler_sigma_prime
 from test_corpus import direct_phi
 from test_crossed import crafted_mutations
 

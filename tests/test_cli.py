@@ -225,12 +225,14 @@ class TestTwistCallCounts:
         assert call_counts["make_sigma_prime"] == 1
         assert call_counts["verify_twist_result"] == 1
         assert call_counts["check_brz_axioms"] <= 2
-        assert call_counts["crossed_mult"] <= 3
+        assert call_counts["crossed_mult"] <= 2
 
     def test_apply_twist_builds_sigma_prime_once(self, by_name, call_counts):
         inst = by_name["gauge-c2"]
         crosstwist.apply_twist(inst.data, inst.pair)
         assert call_counts["make_sigma_prime"] == 1
+        # the products of c and of c', both for phi_mult; sigma' does not build one
+        assert call_counts["crossed_mult"] == 2
 
 
 class TestUsageErrors:

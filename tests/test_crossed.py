@@ -17,10 +17,9 @@ from crosstwist import (
     kron_vec,
     maps_equal,
     twisted_tensor_product,
-    zero_map,
 )
 from crosstwist.crossed import with_r, with_sigma
-from oracles import smash_formula_product, sweedler_crossed_product, ttp_product
+from oracles import smash_formula_product, sweedler_crossed_product, ttp_product, zero_map
 
 F = Rationals()
 C2 = ((0, 1), (1, 0))

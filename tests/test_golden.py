@@ -26,12 +26,11 @@ from crosstwist import (
     check_twist_conditions,
     check_twisting_map,
     verify_twist_result,
-    zero_map,
 )
 from crosstwist.cli import _instance_document, main
 from crosstwist.crossed import TwistingMapData, with_r
 from crosstwist.io import SpecDocument, report_to_json, serialize
-from crosstwist.linmap import scale
+from oracles import scale, zero_map
 
 _SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "mutation_sweep.py"
 _spec = importlib.util.spec_from_file_location("mutation_sweep", _SWEEP)

@@ -156,8 +156,8 @@ class TestReportJson:
         assert all(c["passed"] for c in payload["checks"])
 
     def test_failure_carries_counterexample(self, corpus):
-        from crosstwist import zero_map
         from crosstwist.crossed import with_r
+        from oracles import zero_map
 
         data = corpus[0].data
         rep = check_brz_axioms(with_r(data, zero_map(F, (2, 2), (2, 2))))

@@ -23,9 +23,8 @@ from crosstwist import (
     reshape,
     tensor_map,
     unflatten,
-    zero_map,
 )
-from oracles import naive_apply, naive_matmul
+from oracles import naive_apply, naive_matmul, zero_map
 
 F = Rationals()
 

@@ -28,12 +28,10 @@ from crosstwist import (
     tensor_map,
     trivial_pair,
     verify_twist_result,
-    zero_map,
 )
 from crosstwist.crossed import with_r
-from crosstwist.linmap import scale
 from crosstwist.twist import check_mutual_inverse, check_pair_units
-from oracles import sweedler_r_prime, sweedler_sigma_prime
+from oracles import scale, sweedler_r_prime, sweedler_sigma_prime, zero_map
 
 F = Rationals()
 C3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
