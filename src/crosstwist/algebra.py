@@ -66,9 +66,6 @@ class Algebra:
         """Product of two coordinate vectors."""
         return apply(self.mult, kron_vec(self.field, u, v))
 
-    def basis_product(self, i: int, j: int) -> tuple[Scalar, ...]:
-        return self.mult.column(i * self.dim + j)
-
 
 @dataclass(frozen=True)
 class PointedSpace:

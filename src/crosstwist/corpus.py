@@ -1,14 +1,17 @@
 """Built-in example families: smash products of quasi-bialgebras acting on
 module algebras, gauge twists of both, and twisted tensor products.
 
-Every constructor validates its inputs and rejects with the name of the
-violated law.  Corpus generation is deterministic: the same field yields
-byte-identical instances on every run.
+The public constructors check their inputs, rejecting with the name of the
+violated law, and certify their outputs.  Each is a thin layer of checks over
+a private builder that only builds and certifies its own output;
+``builtin_corpus`` calls the builders on inputs it has already certified, so
+it certifies each object once.  Corpus generation is deterministic: the same
+field yields byte-identical instances on every run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -159,16 +162,16 @@ def quasi_bialgebra_violations(q: QuasiBialgebra) -> list[str]:
 
     unit3 = kron_vec(field, kron_vec(field, q.algebra.unit, q.algebra.unit), q.algebra.unit)
     if not (
-        vectors_equal(field, tensor_elem_product(q.algebra, 3, q.associator, q.associator_inverse), unit3)
-        and vectors_equal(field, tensor_elem_product(q.algebra, 3, q.associator_inverse, q.associator), unit3)
+        vectors_equal(field, _product(q.algebra, 3, q.associator, q.associator_inverse), unit3)
+        and vectors_equal(field, _product(q.algebra, 3, q.associator_inverse, q.associator), unit3)
     ):
         out.append("associator_invertible: associator * inverse != unit")
 
     co2_left = compose(tensor_map(q.comult, id_h), q.comult)
     co2_right = compose(tensor_map(id_h, q.comult), q.comult)
     for k in range(m):
-        lhs = tensor_elem_product(q.algebra, 3, q.associator, co2_left.column(k))
-        rhs = tensor_elem_product(q.algebra, 3, co2_right.column(k), q.associator)
+        lhs = _product(q.algebra, 3, q.associator, co2_left.column(k))
+        rhs = _product(q.algebra, 3, co2_right.column(k), q.associator)
         if not vectors_equal(field, lhs, rhs):
             out.append(f"quasi_coassociativity: fails on basis element {k}")
             break
@@ -191,22 +194,18 @@ def pentagon_violations(q: QuasiBialgebra) -> list[str]:
     m = q.algebra.dim
     id_h = identity(field, (m,))
     id_hh = tensor_map(id_h, id_h)
-    lhs = tensor_elem_product(
+    lhs = _product(
         q.algebra,
         4,
         apply(tensor_map(id_hh, q.comult), q.associator),
         apply(tensor_map(q.comult, id_hh), q.associator),
     )
-    rhs = tensor_elem_product(
+    rhs = _product(
         q.algebra,
         4,
         kron_vec(field, q.algebra.unit, q.associator),
-        tensor_elem_product(
-            q.algebra,
-            4,
-            apply(tensor_map(id_h, tensor_map(q.comult, id_h)), q.associator),
-            kron_vec(field, q.associator, q.algebra.unit),
-        ),
+        apply(tensor_map(id_h, tensor_map(q.comult, id_h)), q.associator),
+        kron_vec(field, q.associator, q.algebra.unit),
     )
     if not vectors_equal(field, lhs, rhs):
         return ["pentagon: the two reassociation paths differ"]
@@ -221,8 +220,8 @@ def gauge_violations(q: QuasiBialgebra, f: GaugeTransformation) -> list[str]:
         return [f"gauge_shape: expected length {m * m}, got {len(f.f)}"]
     unit2 = kron_vec(field, q.algebra.unit, q.algebra.unit)
     if not (
-        vectors_equal(field, tensor_elem_product(q.algebra, 2, f.f, f.f_inverse), unit2)
-        and vectors_equal(field, tensor_elem_product(q.algebra, 2, f.f_inverse, f.f), unit2)
+        vectors_equal(field, _product(q.algebra, 2, f.f, f.f_inverse), unit2)
+        and vectors_equal(field, _product(q.algebra, 2, f.f_inverse, f.f), unit2)
     ):
         out.append("gauge_invertible: F * F^{-1} != 1 (x) 1")
     id_h = identity(field, (m,))
@@ -318,17 +317,30 @@ def _leg_action(b: RightModuleAlgebra, elem: Sequence[Scalar], lead: int, legs: 
     return out.build()
 
 
-def _require_valid(violations: list[str], context: str) -> None:
+def _product(alg: Algebra, k: int, *factors: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """Product of elements of the k-fold tensor power of ``alg``, bracketed
+    from the right: u (v (w ...))."""
+    out = factors[-1]
+    for u in reversed(factors[:-1]):
+        out = tensor_elem_product(alg, k, u, out)
+    return out
+
+
+def _require(violations: list[str], error: type[Exception], prefix: str) -> None:
     if violations:
-        raise CorpusError(f"{context}: {violations[0]}")
+        raise error(prefix + violations[0])
 
 
 def smash_product_data(h: QuasiBialgebra, b: RightModuleAlgebra) -> CrossedData:
     """Crossed data of the smash product of H acting on B from the right:
     R(b (x) h) = h_1 (x) b . h_2 and sigma(b, b') = x1 (x) (b . x2)(b' . x3)
     summed over the inverse associator x1 (x) x2 (x) x3."""
-    _require_valid(quasi_bialgebra_violations(h), "quasi-bialgebra")
-    _require_valid(module_algebra_violations(h, b), "module algebra")
+    _require(quasi_bialgebra_violations(h), CorpusError, "quasi-bialgebra: ")
+    _require(module_algebra_violations(h, b), CorpusError, "module algebra: ")
+    return _smash_product_data(h, b)
+
+
+def _smash_product_data(h: QuasiBialgebra, b: RightModuleAlgebra) -> CrossedData:
     field = h.field
     m, nb = h.algebra.dim, b.dim
     id_h = identity(field, (m,))
@@ -351,65 +363,40 @@ def smash_product_data(h: QuasiBialgebra, b: RightModuleAlgebra) -> CrossedData:
 
 def drinfeld_twist(h: QuasiBialgebra, f: GaugeTransformation) -> QuasiBialgebra:
     """Twist of the comultiplication and associator by a gauge element."""
-    _require_valid(quasi_bialgebra_violations(h), "quasi-bialgebra")
-    _require_valid(gauge_violations(h, f), "gauge transformation")
-    field = h.field
-    m = h.algebra.dim
+    _require(quasi_bialgebra_violations(h), CorpusError, "quasi-bialgebra: ")
+    _require(gauge_violations(h, f), CorpusError, "gauge transformation: ")
+    return _drinfeld_twist(h, f)
+
+
+def _drinfeld_twist(h: QuasiBialgebra, f: GaugeTransformation) -> QuasiBialgebra:
     alg = h.algebra
+    field, m = alg.field, alg.dim
     id_h = identity(field, (m,))
 
-    def prod2(u, v):
-        return tensor_elem_product(alg, 2, u, v)
-
-    def prod3(u, v):
-        return tensor_elem_product(alg, 3, u, v)
-
-    cols = [prod2(f.f, prod2(h.comult.column(k), f.f_inverse)) for k in range(m)]
-    comult_f = LinMap(
-        field,
-        (m,),
-        (m, m),
-        tuple(tuple(cols[k][i] for k in range(m)) for i in range(m * m)),
-    )
-
-    phi_f = prod3(
+    cols = [_product(alg, 2, f.f, h.comult.column(k), f.f_inverse) for k in range(m)]
+    rows = tuple(tuple(cols[k][i] for k in range(m)) for i in range(m * m))
+    comult_f = LinMap(field, (m,), (m, m), rows)
+    phi_f = _product(
+        alg,
+        3,
         kron_vec(field, alg.unit, f.f),
-        prod3(
-            apply(tensor_map(id_h, h.comult), f.f),
-            prod3(
-                h.associator,
-                prod3(
-                    apply(tensor_map(h.comult, id_h), f.f_inverse),
-                    kron_vec(field, f.f_inverse, alg.unit),
-                ),
-            ),
-        ),
+        apply(tensor_map(id_h, h.comult), f.f),
+        h.associator,
+        apply(tensor_map(h.comult, id_h), f.f_inverse),
+        kron_vec(field, f.f_inverse, alg.unit),
     )
-    phi_f_inv = prod3(
+    phi_f_inv = _product(
+        alg,
+        3,
         kron_vec(field, f.f, alg.unit),
-        prod3(
-            apply(tensor_map(h.comult, id_h), f.f),
-            prod3(
-                h.associator_inverse,
-                prod3(
-                    apply(tensor_map(id_h, h.comult), f.f_inverse),
-                    kron_vec(field, alg.unit, f.f_inverse),
-                ),
-            ),
-        ),
+        apply(tensor_map(h.comult, id_h), f.f),
+        h.associator_inverse,
+        apply(tensor_map(id_h, h.comult), f.f_inverse),
+        kron_vec(field, alg.unit, f.f_inverse),
     )
 
-    twisted = QuasiBialgebra(
-        algebra=alg,
-        comult=comult_f,
-        counit=h.counit,
-        associator=phi_f,
-        associator_inverse=phi_f_inv,
-        label=h.label,
-    )
-    violations = quasi_bialgebra_violations(twisted)
-    if violations:
-        raise TheoremViolationError(f"twisted quasi-bialgebra fails {violations[0]}")
+    twisted = replace(h, comult=comult_f, associator=phi_f, associator_inverse=phi_f_inv)
+    _require(quasi_bialgebra_violations(twisted), TheoremViolationError, "twisted quasi-bialgebra fails ")
     return twisted
 
 
@@ -417,19 +404,18 @@ def module_algebra_twist(
     h: QuasiBialgebra, b: RightModuleAlgebra, f: GaugeTransformation
 ) -> RightModuleAlgebra:
     """Deformed multiplication b * b' = (b . F1)(b' . F2); unit and action kept."""
-    _require_valid(module_algebra_violations(h, b), "module algebra")
-    _require_valid(gauge_violations(h, f), "gauge transformation")
-    star = compose(b.mult, _leg_action(b, f.f, lead=0, legs=2))
-    twisted = RightModuleAlgebra(
-        dim=b.dim,
-        mult=star,
-        unit=b.unit,
-        action=b.action,
-        label=b.label,
-    )
-    violations = module_algebra_violations(drinfeld_twist(h, f), twisted)
-    if violations:
-        raise TheoremViolationError(f"twisted module algebra fails {violations[0]}")
+    _require(module_algebra_violations(h, b), CorpusError, "module algebra: ")
+    _require(gauge_violations(h, f), CorpusError, "gauge transformation: ")
+    _require(quasi_bialgebra_violations(h), CorpusError, "quasi-bialgebra: ")
+    return _module_algebra_twist(_drinfeld_twist(h, f), b, f)
+
+
+def _module_algebra_twist(
+    hf: QuasiBialgebra, b: RightModuleAlgebra, f: GaugeTransformation
+) -> RightModuleAlgebra:
+    """The twisted B over ``hf``, the Drinfeld twist of H by f."""
+    twisted = replace(b, mult=compose(b.mult, _leg_action(b, f.f, lead=0, legs=2)))
+    _require(module_algebra_violations(hf, twisted), TheoremViolationError, "twisted module algebra fails ")
     return twisted
 
 
@@ -562,19 +548,24 @@ def builtin_corpus(field: Field | None = None) -> tuple[CorpusInstance, ...]:
     )
 
     gauge2 = _gauge_c2(field)
+    pair2 = gauge_twist_pair(b2, gauge2)
     instances.append(
         CorpusInstance(
             name="gauge-c2",
             tags=("crossed-axioms", "twist", "gauge", "smash-product"),
             description="the sign-action smash product with its half-sum gauge pair",
             data=smash2,
-            pair=gauge_twist_pair(b2, gauge2),
+            pair=pair2,
             quasi=h2,
             module_algebra=b2,
             gauge=gauge2,
         )
     )
 
+    # smash_product_data certified h2 and b2 (below, h4 and b4): check each
+    # gauge once, and let the builders certify the twisted objects they build.
+    _require(gauge_violations(h2, gauge2), CorpusError, "gauge transformation: ")
+    b2f = _module_algebra_twist(_drinfeld_twist(h2, gauge2), b2, gauge2)
     ttp_twisting = TwistingMapData(a=kc2_a, b=kc2_b, r=smash2.r)
     instances.append(
         CorpusInstance(
@@ -582,9 +573,9 @@ def builtin_corpus(field: Field | None = None) -> tuple[CorpusInstance, ...]:
             tags=("twisted-tensor-product", "twist", "deformed-star"),
             description="the sign-action twisted tensor product with the gauge-deformed star product",
             data=twisted_tensor_product(ttp_twisting),
-            pair=gauge_twist_pair(b2, gauge2),
+            pair=pair2,
             twisting=ttp_twisting,
-            star=module_algebra_twist(h2, b2, gauge2).mult,
+            star=b2f.mult,
             quasi=h2,
             module_algebra=b2,
             gauge=gauge2,
@@ -608,15 +599,16 @@ def builtin_corpus(field: Field | None = None) -> tuple[CorpusInstance, ...]:
         )
     )
 
-    h4f = drinfeld_twist(h4, gauge4)
-    b4f = module_algebra_twist(h4, b4, gauge4)
+    _require(gauge_violations(h4, gauge4), CorpusError, "gauge transformation: ")
+    h4f = _drinfeld_twist(h4, gauge4)
+    b4f = _module_algebra_twist(h4f, b4, gauge4)
     gauge4_back = GaugeTransformation(f=gauge4.f_inverse, f_inverse=gauge4.f)
     instances.append(
         CorpusInstance(
             name="smash-v4-twisted",
             tags=("crossed-axioms", "twist", "gauge", "nontrivial-associator"),
             description="smash product over the twisted kV4, associator nontrivial, gauge pointing back",
-            data=smash_product_data(h4f, b4f),
+            data=_smash_product_data(h4f, b4f),
             pair=gauge_twist_pair(b4f, gauge4_back),
             quasi=h4f,
             module_algebra=b4f,

@@ -10,6 +10,7 @@ comparisons are exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field, fields
 from typing import Any, get_type_hints
 
@@ -184,12 +185,7 @@ def _decode_linmap(field: Field, raw: Any, path: str) -> LinMap:
     domain_dims = _decode_dims(raw.get("domain_dims"), f"{path}.domain_dims")
     codomain_dims = _decode_dims(raw.get("codomain_dims"), f"{path}.codomain_dims")
     rows_raw = _get(raw, "matrix", list, path)
-    dt = 1
-    for d in domain_dims:
-        dt *= d
-    ct = 1
-    for d in codomain_dims:
-        ct *= d
+    dt, ct = math.prod(domain_dims), math.prod(codomain_dims)
     if len(rows_raw) != ct:
         raise DocumentError(f"{path}.matrix", f"expected {ct} rows, got {len(rows_raw)}")
     rows = []

@@ -29,22 +29,8 @@ class SingularMapError(ValueError):
     """Matrix inversion requested for a singular map."""
 
 
-def flat_index(multi_index: Sequence[int], dims: Sequence[int]) -> int:
-    """Row-major flat index of a multi-index with respect to factor dims."""
-    if len(multi_index) != len(dims):
-        raise ShapeError(
-            f"multi-index has {len(multi_index)} entries for {len(dims)} factors"
-        )
-    flat = 0
-    for k, (i, d) in enumerate(zip(multi_index, dims)):
-        if not 0 <= i < d:
-            raise IndexError(f"factor {k}: index {i} out of range [0, {d})")
-        flat = flat * d + i
-    return flat
-
-
 def unflatten(flat: int, dims: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of :func:`flat_index`."""
+    """Row-major multi-index of a flat index with respect to factor dims."""
     total = 1
     for d in dims:
         total *= d

@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import pytest
 
 from crosstwist import (
@@ -28,6 +31,30 @@ def corpus(field):
 @pytest.fixture(scope="session")
 def by_name(corpus):
     return {inst.name: inst for inst in corpus}
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """``count_calls(source, names)`` counts the calls of each named function
+    of module ``source`` through every crosstwist module that binds it, and
+    returns the Counter it fills."""
+
+    def install(source, names):
+        counts = Counter()
+        modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "crosstwist"]
+        for name in names:
+            original = getattr(source, name)
+
+            def counted(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,29 @@ sharing no code with the composite-based kernel routines they cross-check.
 
 Also the dense forms of the product kernels (every entry visited, zeros
 included), kept as the reference the sparse kernels are tested against, and
-two small map builders that only tests use."""
+small helpers that only tests use."""
 
 from crosstwist import LinMap, MapBuilder, ShapeError
-from crosstwist.linmap import _require_same_field, _total, flat_index, unflatten
+from crosstwist.linmap import _require_same_field, _total, unflatten
+
+
+def flat_index(multi_index, dims) -> int:
+    """Row-major flat index of a multi-index with respect to factor dims."""
+    if len(multi_index) != len(dims):
+        raise ShapeError(
+            f"multi-index has {len(multi_index)} entries for {len(dims)} factors"
+        )
+    flat = 0
+    for k, (i, d) in enumerate(zip(multi_index, dims)):
+        if not 0 <= i < d:
+            raise IndexError(f"factor {k}: index {i} out of range [0, {d})")
+        flat = flat * d + i
+    return flat
+
+
+def basis_product(a, i: int, j: int):
+    """The product e_i e_j of two basis elements of the algebra ``a``."""
+    return a.mult.column(i * a.dim + j)
 
 
 def zero_map(field, domain_dims, codomain_dims) -> LinMap:
@@ -86,7 +105,7 @@ def dense_tensor_elem_product(a, k: int, u, v):
         for ib, xb in nz_v:
             terms = [((), field.mul(xa, xb))]
             for t in range(k):
-                col = a.basis_product(ia[t], ib[t])
+                col = basis_product(a, ia[t], ib[t])
                 terms = [
                     (idx + (w,), field.mul(coeff, col[w]))
                     for idx, coeff in terms

@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from collections import Counter
 
 import pytest
 
@@ -199,21 +198,9 @@ COUNTED = ("make_sigma_prime", "verify_twist_result", "check_brz_axioms", "cross
 
 
 @pytest.fixture()
-def call_counts(monkeypatch):
+def call_counts(count_calls):
     """Calls of each COUNTED function, through every module that binds it."""
-    counts = Counter()
-    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "crosstwist"]
-    for name in COUNTED:
-        original = getattr(crosstwist, name)
-
-        def counted(*args, name=name, original=original):
-            counts[name] += 1
-            return original(*args)
-
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
-    return counts
+    return count_calls(crosstwist, COUNTED)
 
 
 class TestTwistCallCounts:

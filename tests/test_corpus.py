@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import crosstwist.corpus
 from crosstwist import (
     CharacteristicError,
     CorpusError,
@@ -37,6 +38,7 @@ from crosstwist.corpus import (
     gauge_violations,
     module_algebra_violations,
 )
+from oracles import basis_product
 
 F = Rationals()
 
@@ -58,7 +60,7 @@ def direct_phi(inst) -> LinMap:
             continue
         p, q = flat // m, flat % m
         for k in range(m):
-            hk = inst.data.a.basis_product(k, p)
+            hk = basis_product(inst.data.a, k, p)
             for j in range(n):
                 for u in range(n):
                     act = inst.module_algebra.action.matrix[u][j * m + q]
@@ -220,6 +222,34 @@ class TestDrinfeldTwist:
         once = module_algebra_twist(h, b, f1)
         twice = module_algebra_twist(hf1, once, f2)
         assert twice.mult == module_algebra_twist(h, b, prod).mult
+
+
+CERTIFIERS = ("quasi_bialgebra_violations", "module_algebra_violations", "gauge_violations")
+
+
+class TestCertifyOnce:
+    @pytest.mark.parametrize("field", [F, PrimeField(5)], ids=["Q", "GF5"])
+    def test_builtin_corpus_checks_each_object_once(self, field, count_calls):
+        # four quasi-bialgebras (kC2, kV4 and their twists), four module
+        # algebras over them, two gauges
+        counts = count_calls(crosstwist.corpus, CERTIFIERS)
+        builtin_corpus(field)
+        assert counts == {
+            "quasi_bialgebra_violations": 4,
+            "module_algebra_violations": 4,
+            "gauge_violations": 2,
+        }
+
+    def test_module_algebra_twist_checks_its_gauge_once(self, by_name, count_calls):
+        inst = by_name["gauge-c2"]
+        counts = count_calls(crosstwist.corpus, CERTIFIERS)
+        module_algebra_twist(inst.quasi, inst.module_algebra, inst.gauge)
+        # the inputs and H_F, the input and the twisted module algebra, one gauge
+        assert counts == {
+            "quasi_bialgebra_violations": 2,
+            "module_algebra_violations": 2,
+            "gauge_violations": 1,
+        }
 
 
 class TestModuleAlgebraTwist:

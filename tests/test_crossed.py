@@ -19,7 +19,13 @@ from crosstwist import (
     twisted_tensor_product,
 )
 from crosstwist.crossed import with_r, with_sigma
-from oracles import smash_formula_product, sweedler_crossed_product, ttp_product, zero_map
+from oracles import (
+    basis_product,
+    smash_formula_product,
+    sweedler_crossed_product,
+    ttp_product,
+    zero_map,
+)
 
 F = Rationals()
 C2 = ((0, 1), (1, 0))
@@ -139,7 +145,7 @@ class TestBuildCrossedProduct:
                             kron_vec(F, basis_vector(F, m, i), data.v.point),
                             kron_vec(F, basis_vector(F, m, k), basis_vector(F, n, el)),
                         )
-                        rhs = kron_vec(F, data.a.basis_product(i, k), basis_vector(F, n, el))
+                        rhs = kron_vec(F, basis_product(data.a, i, k), basis_vector(F, n, el))
                         assert lhs == rhs, f"{inst.name}: defining property fails at {(i, k, el)}"
 
     def test_soundness_products_are_algebras(self, corpus):

@@ -3,20 +3,24 @@
 Each digest is the sha256 of text the package emits: ``serialize`` of the
 document of a builtin instance, and ``report_to_json`` of the reports of the
 single-entry mutations in ``scripts/mutation_sweep.py`` plus mutations of the
-twisting-map, twist-pair and isomorphism inputs.  Law names, first
-counterexamples and detail strings all enter the digests, so any change to
-them fails here.
+twisting-map, twist-pair and isomorphism inputs, and ``validate`` output plus
+the first outcome of each gauge-route constructor on mutated quasi-Hopf
+objects.  Law names, first counterexamples and detail strings all enter the
+digests, so any change to them fails here.
 """
 
 import contextlib
 import hashlib
 import importlib.util
 import io
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from crosstwist import (
+    Algebra,
+    LinMap,
     PrimeField,
     Rationals,
     TwistPair,
@@ -25,6 +29,9 @@ from crosstwist import (
     builtin_corpus,
     check_twist_conditions,
     check_twisting_map,
+    drinfeld_twist,
+    module_algebra_twist,
+    smash_product_data,
     verify_twist_result,
 )
 from crosstwist.cli import _instance_document, main
@@ -195,3 +202,76 @@ def test_twist_command_output_is_pinned(corpus, non_associative, tmp_path):
         written = dst.read_text(encoding="utf-8") if dst.exists() else ""
         got[name] = _sha([f"{code}\n", out.getvalue(), written])
     assert got == TWIST_DIGESTS
+
+
+def _bumped(field, obj):
+    """(path, copy of obj with one entry increased by one) for every entry of
+    every map, vector and algebra inside obj."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, LinMap):
+            for row in range(value.codomain_total):
+                for col in range(value.domain_total):
+                    yield f"{f.name}[{row}][{col}]", replace(obj, **{f.name: bump(value, row, col)})
+        elif isinstance(value, Algebra):
+            for path, alg in _bumped(field, value):
+                yield f"{f.name}.{path}", replace(obj, **{f.name: alg})
+        elif isinstance(value, tuple):
+            for k, x in enumerate(value):
+                entries = value[:k] + (field.add(x, field.one()),) + value[k + 1 :]
+                yield f"{f.name}[{k}]", replace(obj, **{f.name: entries})
+
+
+def _quasi_hopf_cases(field):
+    """(name, quasi, module algebra, gauge) of gauge-c2 and of a sample of its
+    single-entry mutations: every comult and counit entry, which break several
+    laws at once, and every third of the other entries."""
+    inst = {i.name: i for i in builtin_corpus(field)}["gauge-c2"]
+    h, b, g = inst.quasi, inst.module_algebra, inst.gauge
+    yield "valid", h, b, g
+    for n, (path, h2) in enumerate(_bumped(field, h)):
+        if path.startswith(("comult", "counit")) or n % 3 == 0:
+            yield f"quasi.{path}", h2, b, g
+    for n, (path, b2) in enumerate(_bumped(field, b)):
+        if n % 3 == 0:
+            yield f"module_algebra.{path}", h, b2, g
+    for n, (path, g2) in enumerate(_bumped(field, g)):
+        if n % 3 == 0:
+            yield f"gauge.{path}", h, b, g2
+
+
+def _first_outcome(field, build, *args):
+    """The serialized result of a constructor, or its exception."""
+    try:
+        out = build(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}\n"
+    return serialize(SpecDocument(field, {"out": out}))
+
+
+QUASI_HOPF_DIGESTS = {
+    "GF5": "ad6d9c9b22b6972df73fe21356443af7eef6d128b679b76dcb4f8923572281a1",
+    "Q": "287cddc983ca83627d001bd5639e889997bd721f16b6376c8aacf0586a1de48a",
+}
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_quasi_hopf_validation_is_pinned(field_name, tmp_path):
+    """``validate`` (json and text) on the quasi-Hopf objects of gauge-c2 and
+    its mutations, and the first outcome of each gauge-route constructor."""
+    field = FIELDS[field_name]
+    src = tmp_path / "in.json"
+    texts = []
+    for name, h, b, g in _quasi_hopf_cases(field):
+        texts.append(f"== {name}\n")
+        doc = SpecDocument(field, {"quasi": h, "module_algebra": b, "gauge": g})
+        src.write_text(serialize(doc), encoding="utf-8")
+        for report in ("json", "text"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["validate", "--input", str(src), "--report", report])
+            texts += [f"{code}\n", out.getvalue()]
+        texts.append(_first_outcome(field, smash_product_data, h, b))
+        texts.append(_first_outcome(field, drinfeld_twist, h, g))
+        texts.append(_first_outcome(field, module_algebra_twist, h, b, g))
+    assert _sha(texts) == QUASI_HOPF_DIGESTS[field_name]

@@ -14,7 +14,6 @@ from crosstwist import (
     basis_vector,
     compose,
     first_difference,
-    flat_index,
     flip,
     identity,
     invert,
@@ -24,7 +23,7 @@ from crosstwist import (
     tensor_map,
     unflatten,
 )
-from oracles import naive_apply, naive_matmul, zero_map
+from oracles import flat_index, naive_apply, naive_matmul, zero_map
 
 F = Rationals()
 
