@@ -13,6 +13,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import random
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -20,22 +21,34 @@ import pytest
 
 from crosstwist import (
     Algebra,
+    CrossedData,
     LinMap,
+    NonAssociativeError,
+    PointedSpace,
     PrimeField,
     Rationals,
     TwistPair,
     TwistResult,
+    algebra_from_group,
     apply_twist,
     builtin_corpus,
+    check_algebra,
+    check_brz_axioms,
+    compose,
     check_twist_conditions,
     check_twisting_map,
     drinfeld_twist,
+    flip,
     module_algebra_twist,
+    opposite_unit_insertion,
+    phi_map,
+    reshape,
     smash_product_data,
     verify_twist_result,
 )
 from crosstwist.cli import _instance_document, main
 from crosstwist.crossed import TwistingMapData, with_r
+from crosstwist.linmap import random_matrix_map
 from crosstwist.io import SpecDocument, report_to_json, serialize
 from oracles import scale, zero_map
 
@@ -275,3 +288,115 @@ def test_quasi_hopf_validation_is_pinned(field_name, tmp_path):
         texts.append(_first_outcome(field, drinfeld_twist, h, g))
         texts.append(_first_outcome(field, module_algebra_twist, h, b, g))
     assert _sha(texts) == QUASI_HOPF_DIGESTS[field_name]
+
+
+
+def _cyclic_or_random_algebra(field, rng, m):
+    """The group algebra of Z/m, or (half the time) random structure constants
+    and a random unit, which are almost never lawful."""
+    cyclic = algebra_from_group([[(i + j) % m for j in range(m)] for i in range(m)], 0, field)
+    if rng.random() < 0.5:
+        return cyclic
+    mult = random_matrix_map(field, (m, m), (m,), rng)
+    return Algebra(m, mult, random_matrix_map(field, (1,), (m,), rng).column(0))
+
+
+def _perturbed(f, rng):
+    """``f``, a random map of its shape, or ``f`` with one entry bumped."""
+    mode = rng.choice(("keep", "random", "bump", "bump"))
+    if mode == "random":
+        return random_matrix_map(f.field, f.domain_dims, f.codomain_dims, rng)
+    if mode == "bump":
+        return bump(f, rng.randrange(f.codomain_total), rng.randrange(f.domain_total))
+    return f
+
+
+def _seeded_reports(field, seed):
+    """Law reports on seeded random data with dims up to 3x2: A is Z/m or random,
+    V = k[Z/n], and R, sigma, theta, gamma and phi start from the flip twisted
+    tensor product and its trivial pair, each kept, redrawn or bumped.  A law
+    check that refuses a non-associative A contributes its error text."""
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 3), rng.randint(1, 2)
+    a = _cyclic_or_random_algebra(field, rng, m)
+    b = algebra_from_group([[(i + j) % n for j in range(n)] for i in range(n)], 0, field)
+    v = PointedSpace(n, b.unit)
+    iota = opposite_unit_insertion(a, v)
+    lawful = CrossedData(a, v, flip(field, n, m), compose(iota, b.mult))
+
+    def crossed():
+        return CrossedData(a, v, _perturbed(lawful.r, rng), _perturbed(lawful.sigma, rng))
+
+    c, c_prime = crossed(), crossed()
+    pair = TwistPair(_perturbed(iota, rng), _perturbed(iota, rng))
+    result = TwistResult(
+        r_prime=c_prime.r,
+        sigma_prime=c_prime.sigma,
+        data_prime=c_prime,
+        phi=_perturbed(phi_map(a, pair.theta), rng),
+        phi_inverse=phi_map(a, pair.gamma),
+    )
+    yield check_algebra(a)
+    yield check_brz_axioms(c)
+    yield check_twisting_map(TwistingMapData(a=a, b=_cyclic_or_random_algebra(field, rng, n), r=c.r))
+    for check, args in ((check_twist_conditions, (c, pair)), (verify_twist_result, (c, result))):
+        try:
+            yield check(*args)
+        except NonAssociativeError as exc:
+            yield f"NonAssociativeError: {exc}"
+
+
+SEEDED_REPORT_DIGESTS = {
+    "GF5": "6c461cc35d536ed71cb6e3ee31ee454a2da946cb6b03acf7fcdf195adfc4790a",
+    "Q": "5a8275286de642f4bbe939d8e3a865a8520a2a23a62f920a7777657e91d7d479",
+}
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_seeded_law_reports_are_pinned(field_name):
+    """Reports of every law checker on 85 seeded random inputs per field, most
+    of them failing, so the first counterexample and detail of each law enter
+    the digest."""
+    texts = [
+        out if isinstance(out, str) else report_to_json(out)
+        for seed in range(85)
+        for out in _seeded_reports(FIELDS[field_name], seed)
+    ]
+    assert _sha(texts) == SEEDED_REPORT_DIGESTS[field_name]
+
+
+VERIFY_ISO_DIGESTS = {
+    "GF5": "2da4028333771398318f6888438b8b74b9a17026bcd1b2f4aa4f3b0cdd935e82",
+    "Q": "a925936b52ebbef524ac55e8a3b5bd15242bf7b1aa44bca7860c00e9b26db42f",
+}
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_verify_iso_on_flat_phi_is_pinned(field_name, tmp_path):
+    """``verify-iso`` (json and text) on twist outputs whose phi and phi_inverse
+    are relabelled (mn,) -> (mn,), as they are, and with one entry bumped.  The
+    command checks only the totals of phi, so the laws must read a map over
+    the whole of A (x) V whatever its factor list."""
+    field = FIELDS[field_name]
+    src = tmp_path / "in.json"
+    texts = []
+    for inst in _corpus(field_name):
+        if inst.pair is None:
+            continue
+        result = apply_twist(inst.data, inst.pair)
+        mn = inst.data.a.dim * inst.data.v.dim
+        flat = {k: reshape(getattr(result, k), (mn,), (mn,)) for k in ("phi", "phi_inverse")}
+        variants = [("as-is", flat), ("phi[0][0]", dict(flat, phi=bump(flat["phi"], 0, 0)))]
+        variants.append(
+            ("phi_inverse[-1][1]", dict(flat, phi_inverse=bump(flat["phi_inverse"], mn - 1, 1)))
+        )
+        for name, maps in variants:
+            texts.append(f"== {inst.name} {name}\n")
+            objects = {"crossed": inst.data, "crossed_prime": result.data_prime, **maps}
+            src.write_text(serialize(SpecDocument(field, objects)), encoding="utf-8")
+            for report in ("json", "text"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(["verify-iso", "--input", str(src), "--report", report])
+                texts += [f"{code}\n", out.getvalue()]
+    assert _sha(texts) == VERIFY_ISO_DIGESTS[field_name]

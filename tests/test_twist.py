@@ -3,10 +3,12 @@ import random
 import pytest
 
 from crosstwist import (
+    NonAssociativeError,
     PointedSpace,
     Rationals,
     TwistPair,
     TwistPreconditionError,
+    TwistResult,
     algebra_from_group,
     apply,
     apply_twist,
@@ -14,6 +16,7 @@ from crosstwist import (
     check_brz_axioms,
     check_twist_conditions,
     compose,
+    crossed_mult,
     drinfeld_twist,
     flip,
     identity,
@@ -143,6 +146,23 @@ class TestApplyTwist:
         assert check_brz_axioms(data).passed
         with pytest.raises(TwistPreconditionError, match="underlying algebra fails assoc"):
             apply_twist(data, pair)
+
+    def test_product_builders_refuse_non_associative_algebra(self, non_associative):
+        """Every map built from the product on A (x) V needs the triple product
+        of A, so each refuses the A of the fixture, where (e1 e1) e1 != e1 (e1 e1)."""
+        data, pair = non_associative
+        result = TwistResult(data.r, data.sigma, data, identity(F, (3, 1)), identity(F, (3, 1)))
+        calls = (
+            (crossed_mult, data),
+            (make_r_prime, data, pair),
+            (make_sigma_prime, data, pair),
+            (check_twist_conditions, data, pair),
+            (verify_twist_result, data, result),
+        )
+        message = r"bracketing; first difference on basis input \(1, 1, 1\)$"
+        for build, *args in calls:
+            with pytest.raises(NonAssociativeError, match=message):
+                build(*args)
 
     def test_round_trip_with_swapped_pair(self, corpus):
         for inst in corpus:
