@@ -6,20 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import Field, Scalar
-from .linmap import (
-    LinMap,
-    ShapeError,
-    apply,
-    basis_vector,
-    compose,
-    first_difference,
-    flip,
-    identity,
-    kron_vec,
-    reshape,
-    tensor_map,
-    unflatten,
-)
+from .linmap import LinMap, ShapeError, _Wiring, apply, basis_vector, kron_vec, unflatten
 from .report import AxiomReport, LawCheck, law_from_maps
 
 
@@ -86,16 +73,8 @@ class PointedSpace:
 
 def check_algebra(a: Algebra) -> AxiomReport:
     """Verify associativity and both unit laws; failures are data, not errors."""
-    field = a.field
-    m = a.dim
-    id_m = identity(field, (m,))
-    checks = [
-        law_from_maps(
-            "assoc",
-            compose(a.mult, tensor_map(a.mult, id_m)),
-            compose(a.mult, tensor_map(id_m, a.mult)),
-        )
-    ]
+    field, mult, m = a.field, a.mult, a.dim
+    checks = [law_from_maps("assoc", (m,) * 3, [(mult, 0), (mult, 0)], [(mult, 1), (mult, 0)])]
     basis = [basis_vector(field, m, j) for j in range(m)]
     left = ((j, e, a.product(a.unit, e)) for j, e in enumerate(basis))
     right = ((j, e, a.product(e, a.unit)) for j, e in enumerate(basis))
@@ -114,15 +93,13 @@ def check_algebra(a: Algebra) -> AxiomReport:
 
 def mu2(a: Algebra) -> LinMap:
     """The triple product A (x) A (x) A -> A; both bracketings must agree."""
-    id_m = identity(a.field, (a.dim,))
-    right = compose(a.mult, tensor_map(id_m, a.mult))
-    left = compose(a.mult, tensor_map(a.mult, id_m))
-    diff = first_difference(right, left)
+    right = _Wiring((a.dim,) * 3, [(a.mult, 1), (a.mult, 0)])
+    diff = right.first_difference([(a.mult, 0), (a.mult, 0)])
     if diff is not None:
         raise NonAssociativeError(
             f"triple product depends on bracketing; first difference on basis input {diff[0]}"
         )
-    return right
+    return right.to_map()
 
 
 def algebra_from_group(
@@ -170,23 +147,6 @@ def algebra_from_group(
         rows.append(tuple(row))
     mult = LinMap(field, (n, n), (n,), tuple(rows))
     return Algebra(n, mult, basis_vector(field, n, e), label=label)
-
-
-def tensor_algebra(x: Algebra, y: Algebra, label: str = "") -> Algebra:
-    """Componentwise product algebra on X (x) Y."""
-    field = x.field
-    mx, my = x.dim, y.dim
-    mid = tensor_map(
-        tensor_map(identity(field, (mx,)), flip(field, my, mx)), identity(field, (my,))
-    )
-    mult = compose(tensor_map(x.mult, y.mult), mid)
-    mult = reshape(mult, (mx * my, mx * my), (mx * my,))
-    return Algebra(
-        mx * my,
-        mult,
-        kron_vec(field, x.unit, y.unit),
-        label=label or f"{x.label}(x){y.label}",
-    )
 
 
 def tensor_elem_product(

@@ -15,29 +15,19 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import (
-    Algebra,
-    PointedSpace,
-    algebra_from_group,
-    check_algebra,
-    tensor_algebra,
-    tensor_elem_product,
-)
+from .algebra import Algebra, PointedSpace, algebra_from_group, check_algebra, tensor_elem_product
 from .crossed import CrossedData, TwistingMapData, twisted_tensor_product
 from .fields import Field, Rationals, Scalar
 from .linmap import (
     LinMap,
     MapBuilder,
     ShapeError,
+    _Wiring,
     apply,
     basis_vector,
     compose,
     flip,
-    identity,
     kron_vec,
-    maps_equal,
-    reshape,
-    tensor_map,
     unflatten,
     vectors_equal,
 )
@@ -125,39 +115,41 @@ class RightModuleAlgebra:
         return self.action.domain_dims[1]
 
 
+def _differ(legs: Sequence[int], lhs, rhs) -> bool:
+    """Whether two wirings of (map, lead) steps on ``legs`` differ anywhere."""
+    return _Wiring(legs, lhs).first_difference(rhs) is not None
+
+
+def _on_leg(f: LinMap, lead: int, elem: Sequence[Scalar], k: int) -> tuple[Scalar, ...]:
+    """``f`` applied to leg ``lead`` of an element of the k-fold tensor power of its domain."""
+    return _Wiring(f.domain_dims * k, [(f, lead)]).apply(elem)
+
+
 def quasi_bialgebra_violations(q: QuasiBialgebra) -> list[str]:
     """Core laws: algebra maps, counit laws, invertible associator,
     quasi-coassociativity, and the counit normalizations of the associator."""
     field = q.field
     m = q.algebra.dim
-    id_h = identity(field, (m,))
+    mult, comult, counit = q.algebra.mult, q.comult, q.counit
     out: list[str] = []
 
     rep = check_algebra(q.algebra)
     if not rep.passed:
         out.append(f"underlying algebra fails {rep.failures[0].law}")
 
-    h2 = tensor_algebra(q.algebra, q.algebra)
-    if not maps_equal(
-        compose(q.comult, q.algebra.mult),
-        compose(reshape(h2.mult, (m, m, m, m), (m, m)), tensor_map(q.comult, q.comult)),
-    ):
+    # the product of H (x) H swaps the middle legs, then multiplies each pair
+    h2_products = [(comult, 0), (comult, 2), (flip(field, m, m), 1), (mult, 2), (mult, 0)]
+    if _differ((m, m), [(mult, 0), (comult, 0)], h2_products):
         out.append("comult_algebra_map: comultiplication is not multiplicative")
-    if not vectors_equal(field, apply(q.comult, q.algebra.unit), kron_vec(field, q.algebra.unit, q.algebra.unit)):
+    if not vectors_equal(field, apply(comult, q.algebra.unit), kron_vec(field, q.algebra.unit, q.algebra.unit)):
         out.append("comult_algebra_map: comultiplication does not preserve the unit")
 
-    mult_k = LinMap(field, (1, 1), (1,), ((field.one(),),))
-    if not maps_equal(
-        compose(q.counit, q.algebra.mult),
-        compose(mult_k, tensor_map(q.counit, q.counit)),
-    ):
+    if _differ((m, m), [(mult, 0), (counit, 0)], [(counit, 0), (counit, 1)]):
         out.append("counit_algebra_map: counit is not multiplicative")
-    if apply(q.counit, q.algebra.unit) != (field.one(),):
+    if apply(counit, q.algebra.unit) != (field.one(),):
         out.append("counit_algebra_map: counit of the unit is not 1")
 
-    left = reshape(compose(tensor_map(q.counit, id_h), q.comult), (m,), (m,))
-    right = reshape(compose(tensor_map(id_h, q.counit), q.comult), (m,), (m,))
-    if not (maps_equal(left, id_h) and maps_equal(right, id_h)):
+    if any(_differ((m,), [(comult, 0), (counit, slot)], []) for slot in (0, 1)):
         out.append("counit_laws: (counit (x) id).comult or (id (x) counit).comult != id")
 
     unit3 = kron_vec(field, kron_vec(field, q.algebra.unit, q.algebra.unit), q.algebra.unit)
@@ -167,8 +159,8 @@ def quasi_bialgebra_violations(q: QuasiBialgebra) -> list[str]:
     ):
         out.append("associator_invertible: associator * inverse != unit")
 
-    co2_left = compose(tensor_map(q.comult, id_h), q.comult)
-    co2_right = compose(tensor_map(id_h, q.comult), q.comult)
+    co2_left = _Wiring((m,), [(comult, 0), (comult, 0)]).to_map()
+    co2_right = _Wiring((m,), [(comult, 0), (comult, 1)]).to_map()
     for k in range(m):
         lhs = _product(q.algebra, 3, q.associator, co2_left.column(k))
         rhs = _product(q.algebra, 3, co2_right.column(k), q.associator)
@@ -178,12 +170,8 @@ def quasi_bialgebra_violations(q: QuasiBialgebra) -> list[str]:
 
     unit2 = kron_vec(field, q.algebra.unit, q.algebra.unit)
     for name, elem in (("associator", q.associator), ("associator_inverse", q.associator_inverse)):
-        for slot, contraction in (
-            (0, tensor_map(q.counit, tensor_map(id_h, id_h))),
-            (1, tensor_map(id_h, tensor_map(q.counit, id_h))),
-            (2, tensor_map(id_h, tensor_map(id_h, q.counit))),
-        ):
-            if not vectors_equal(field, apply(contraction, elem), unit2):
+        for slot in range(3):
+            if not vectors_equal(field, _on_leg(counit, slot, elem, 3), unit2):
                 out.append(f"associator_counital: counit in slot {slot} of {name} != 1 (x) 1")
     return out
 
@@ -191,21 +179,14 @@ def quasi_bialgebra_violations(q: QuasiBialgebra) -> list[str]:
 def pentagon_violations(q: QuasiBialgebra) -> list[str]:
     """The pentagon law, reported separately from the core laws."""
     field = q.field
-    m = q.algebra.dim
-    id_h = identity(field, (m,))
-    id_hh = tensor_map(id_h, id_h)
-    lhs = _product(
-        q.algebra,
-        4,
-        apply(tensor_map(id_hh, q.comult), q.associator),
-        apply(tensor_map(q.comult, id_hh), q.associator),
-    )
+    phi, unit = q.associator, q.algebra.unit
+    lhs = _product(q.algebra, 4, _on_leg(q.comult, 2, phi, 3), _on_leg(q.comult, 0, phi, 3))
     rhs = _product(
         q.algebra,
         4,
-        kron_vec(field, q.algebra.unit, q.associator),
-        apply(tensor_map(id_h, tensor_map(q.comult, id_h)), q.associator),
-        kron_vec(field, q.associator, q.algebra.unit),
+        kron_vec(field, unit, phi),
+        _on_leg(q.comult, 1, phi, 3),
+        kron_vec(field, phi, unit),
     )
     if not vectors_equal(field, lhs, rhs):
         return ["pentagon: the two reassociation paths differ"]
@@ -224,9 +205,7 @@ def gauge_violations(q: QuasiBialgebra, f: GaugeTransformation) -> list[str]:
         and vectors_equal(field, _product(q.algebra, 2, f.f_inverse, f.f), unit2)
     ):
         out.append("gauge_invertible: F * F^{-1} != 1 (x) 1")
-    id_h = identity(field, (m,))
-    left = apply(tensor_map(q.counit, id_h), f.f)
-    right = apply(tensor_map(id_h, q.counit), f.f)
+    left, right = (_on_leg(q.counit, slot, f.f, 2) for slot in (0, 1))
     if not (vectors_equal(field, left, q.algebra.unit) and vectors_equal(field, right, q.algebra.unit)):
         out.append("gauge_counital: a counit contraction of F is not the unit")
     return out
@@ -240,8 +219,6 @@ def module_algebra_violations(q: QuasiBialgebra, b: RightModuleAlgebra) -> list[
     out: list[str] = []
     if b.acting_dim != m:
         return [f"action_shape: acts on dimension {b.acting_dim}, bialgebra has {m}"]
-    id_h = identity(field, (m,))
-    id_b = identity(field, (nb,))
 
     for j in range(nb):
         e_j = basis_vector(field, nb, j)
@@ -256,28 +233,18 @@ def module_algebra_violations(q: QuasiBialgebra, b: RightModuleAlgebra) -> list[
             out.append(f"unit_action: 1_B . h_{k} != counit(h_{k}) 1_B")
             break
 
-    if not maps_equal(
-        compose(b.action, tensor_map(b.action, id_h)),
-        compose(b.action, tensor_map(id_b, q.algebra.mult)),
-    ):
+    act = b.action
+    if _differ((nb, m, m), [(act, 0), (act, 0)], [(q.algebra.mult, 1), (act, 0)]):
         out.append("module_law: (b . h) . h' != b . (h h')")
 
-    rhs = compose(
-        b.mult,
-        compose(
-            tensor_map(b.action, b.action),
-            compose(
-                tensor_map(tensor_map(id_b, flip(field, nb, m)), id_h),
-                tensor_map(tensor_map(id_b, id_b), q.comult),
-            ),
-        ),
-    )
-    if not maps_equal(compose(b.action, tensor_map(b.mult, id_h)), rhs):
+    # (b . h_1)(b' . h_2): split h, swap it past b', act on each factor, multiply
+    split = [(q.comult, 2), (flip(field, nb, m), 1), (act, 2), (act, 0), (b.mult, 0)]
+    if _differ((nb, nb, m), [(b.mult, 0), (act, 0)], split):
         out.append("mult_action_compatible: (b b') . h != (b . h_1)(b' . h_2)")
 
     reassoc = _leg_action(b, q.associator_inverse, lead=0, legs=3)
-    twisted = compose(b.mult, compose(tensor_map(id_b, b.mult), reassoc))
-    if not maps_equal(compose(b.mult, tensor_map(b.mult, id_b)), twisted):
+    twisted = [(reassoc, 0), (b.mult, 1), (b.mult, 0)]
+    if _differ((nb,) * 3, [(b.mult, 0), (b.mult, 0)], twisted):
         out.append("assoc_twisted: (b b') b'' != (b . x1)((b' . x2)(b'' . x3))")
     return out
 
@@ -343,14 +310,9 @@ def smash_product_data(h: QuasiBialgebra, b: RightModuleAlgebra) -> CrossedData:
 def _smash_product_data(h: QuasiBialgebra, b: RightModuleAlgebra) -> CrossedData:
     field = h.field
     m, nb = h.algebra.dim, b.dim
-    id_h = identity(field, (m,))
-    id_b = identity(field, (nb,))
-
-    r = compose(
-        tensor_map(id_h, b.action),
-        compose(tensor_map(flip(field, nb, m), id_h), tensor_map(id_b, h.comult)),
-    )
-    sigma = compose(tensor_map(id_h, b.mult), _leg_action(b, h.associator_inverse, lead=1, legs=2))
+    r = _Wiring((nb, m), [(h.comult, 1), (flip(field, nb, m), 0), (b.action, 1)]).to_map()
+    assoc = _leg_action(b, h.associator_inverse, lead=1, legs=2)
+    sigma = _Wiring((nb, nb), [(assoc, 0), (b.mult, 1)]).to_map()
 
     return CrossedData(
         a=h.algebra,
@@ -371,7 +333,6 @@ def drinfeld_twist(h: QuasiBialgebra, f: GaugeTransformation) -> QuasiBialgebra:
 def _drinfeld_twist(h: QuasiBialgebra, f: GaugeTransformation) -> QuasiBialgebra:
     alg = h.algebra
     field, m = alg.field, alg.dim
-    id_h = identity(field, (m,))
 
     cols = [_product(alg, 2, f.f, h.comult.column(k), f.f_inverse) for k in range(m)]
     rows = tuple(tuple(cols[k][i] for k in range(m)) for i in range(m * m))
@@ -380,18 +341,18 @@ def _drinfeld_twist(h: QuasiBialgebra, f: GaugeTransformation) -> QuasiBialgebra
         alg,
         3,
         kron_vec(field, alg.unit, f.f),
-        apply(tensor_map(id_h, h.comult), f.f),
+        _on_leg(h.comult, 1, f.f, 2),
         h.associator,
-        apply(tensor_map(h.comult, id_h), f.f_inverse),
+        _on_leg(h.comult, 0, f.f_inverse, 2),
         kron_vec(field, f.f_inverse, alg.unit),
     )
     phi_f_inv = _product(
         alg,
         3,
         kron_vec(field, f.f, alg.unit),
-        apply(tensor_map(h.comult, id_h), f.f),
+        _on_leg(h.comult, 0, f.f, 2),
         h.associator_inverse,
-        apply(tensor_map(id_h, h.comult), f.f_inverse),
+        _on_leg(h.comult, 1, f.f_inverse, 2),
         kron_vec(field, alg.unit, f.f_inverse),
     )
 

@@ -1,8 +1,9 @@
 """Crossed-product data (A, V, R, sigma), its five axioms, and the product algebra.
 
-The five conditions are evaluated as exact equalities of composite matrices;
-the two unit conditions are applied to slices at the distinguished elements so
-failure indices stay interpretable.
+The three product conditions are exact equalities of two wirings of R, sigma
+and mu, compared column by column; the two unit conditions push the vectors
+at the distinguished elements through R and sigma, so failure indices stay
+interpretable.
 """
 
 from __future__ import annotations
@@ -12,17 +13,7 @@ from itertools import chain
 
 from .algebra import Algebra, PointedSpace, check_algebra, mu2, opposite_unit_insertion
 from .fields import Field
-from .linmap import (
-    LinMap,
-    ShapeError,
-    apply,
-    basis_vector,
-    compose,
-    identity,
-    kron_vec,
-    reshape,
-    tensor_map,
-)
+from .linmap import LinMap, ShapeError, _sparse, _Wiring, compose, kron_vec, reshape
 from .report import AxiomReport, LawCheck, law_from_maps
 
 
@@ -84,20 +75,20 @@ class TwistingMapData:
 def _unit_slides(r: LinMap, a: Algebra, point: tuple, name: str):
     """Case streams for R(1 (x) a_k) = a_k (x) 1 and R(x_j (x) 1_A) = 1_A (x) x_j,
     where 1 = ``point`` is the unit of the space named ``name`` (V or B)."""
-    field, x = a.field, name.lower()
+    field, x, m, n = a.field, name.lower(), a.dim, len(point)
+    push = _Wiring((n, m), [(r, 0)]).push
+    one, unit = _sparse(field, point).items(), _sparse(field, a.unit).items()
 
     def left():
-        for k in range(a.dim):
-            e = basis_vector(field, a.dim, k)
-            got = apply(r, kron_vec(field, point, e))
-            want = kron_vec(field, e, point)
+        for k in range(m):
+            got = push({p * m + k: c for p, c in one})
+            want = {k * n + p: c for p, c in one}
             yield (k,), got, want, f"R(1_{name} (x) a_{k}) != a_{k} (x) 1_{name}"
 
     def right():
-        for j in range(len(point)):
-            e = basis_vector(field, len(point), j)
-            got = apply(r, kron_vec(field, e, a.unit))
-            want = kron_vec(field, a.unit, e)
+        for j in range(n):
+            got = push({j * m + i: c for i, c in unit})
+            want = {i * n + j: c for i, c in unit}
             yield (j,), got, want, f"R({x}_{j} (x) 1_A) != 1_A (x) {x}_{j}"
 
     return left(), right()
@@ -105,35 +96,23 @@ def _unit_slides(r: LinMap, a: Algebra, point: tuple, name: str):
 
 def _r_mult_law(law: str, r: LinMap, a: Algebra, n: int) -> LawCheck:
     """R(x (x) aa') = (mu (x) id)(id (x) R)(R (x) id), on X (x) A (x) A with dim X = n."""
-    id_a, id_x = identity(a.field, (a.dim,)), identity(a.field, (n,))
-    return law_from_maps(
-        law,
-        compose(r, tensor_map(id_x, a.mult)),
-        compose(
-            tensor_map(a.mult, id_x),
-            compose(tensor_map(id_a, r), tensor_map(r, id_a)),
-        ),
-    )
+    mu = a.mult
+    return law_from_maps(law, (n, a.dim, a.dim), [(mu, 1), (r, 0)], [(r, 0), (r, 1), (mu, 0)])
 
 
 def check_twisting_map(t: TwistingMapData) -> AxiomReport:
     """The four twisting-map conditions tw1..tw4, each as an exact identity.
 
     tw1..tw3 are brz1 and brz3 with B in place of V."""
-    id_a, id_b = identity(t.field, (t.a.dim,)), identity(t.field, (t.b.dim,))
     left, right = _unit_slides(t.r, t.a, t.b.unit, "B")
+    nb, mu_b = t.b.dim, t.b.mult
     return AxiomReport(
         (
             LawCheck.from_vectors("tw1", left),
             LawCheck.from_vectors("tw2", right),
-            _r_mult_law("tw3", t.r, t.a, t.b.dim),
+            _r_mult_law("tw3", t.r, t.a, nb),
             law_from_maps(
-                "tw4",
-                compose(t.r, tensor_map(t.b.mult, id_a)),
-                compose(
-                    tensor_map(id_a, t.b.mult),
-                    compose(tensor_map(t.r, id_b), tensor_map(id_b, t.r)),
-                ),
+                "tw4", (nb, nb, t.a.dim), [(mu_b, 0), (t.r, 0)], [(t.r, 1), (t.r, 0), (mu_b, 1)]
             ),
         )
     )
@@ -161,61 +140,47 @@ def check_brz_axioms(c: CrossedData) -> AxiomReport:
     """The five crossed-product conditions, in order, as exact equalities."""
     field = c.field
     m, n = c.a.dim, c.v.dim
-    id_a, id_v = identity(field, (m,)), identity(field, (n,))
-    mu = c.a.mult
+    mu, r, sigma = c.a.mult, c.r, c.sigma
 
     # brz1: R(1_V (x) a) = a (x) 1_V and R(v (x) 1_A) = 1_A (x) v.
-    checks = [LawCheck.from_vectors("brz1", chain(*_unit_slides(c.r, c.a, c.v.point, "V")))]
+    checks = [LawCheck.from_vectors("brz1", chain(*_unit_slides(r, c.a, c.v.point, "V")))]
 
     # brz2: sigma(1_V, v) = sigma(v, 1_V) = 1_A (x) v.
+    push = _Wiring((n, n), [(sigma, 0)]).push
+    one, unit = _sparse(field, c.v.point).items(), _sparse(field, c.a.unit).items()
+
     def sigma_units():
         for j in range(n):
-            e_j = basis_vector(field, n, j)
-            want = kron_vec(field, c.a.unit, e_j)
-            left = apply(c.sigma, kron_vec(field, c.v.point, e_j))
+            want = {i * n + j: x for i, x in unit}
+            left = push({p * n + j: x for p, x in one})
             yield (j,), left, want, f"sigma(1_V, v_{j}) != 1_A (x) v_{j}"
-            right = apply(c.sigma, kron_vec(field, e_j, c.v.point))
+            right = push({j * n + p: x for p, x in one})
             yield (j,), right, want, f"sigma(v_{j}, 1_V) != 1_A (x) v_{j}"
 
     checks.append(LawCheck.from_vectors("brz2", sigma_units()))
-    checks.append(_r_mult_law("brz3", c.r, c.a, n))
+    checks.append(_r_mult_law("brz3", r, c.a, n))
 
-    mu_sigma = compose(tensor_map(mu, id_v), tensor_map(id_a, c.sigma))
+    # brz4 and brz5 end in mu_sigma = (mu (x) id).(id (x) sigma) on A (x) V (x) V.
+    mu_sigma = [(sigma, 1), (mu, 0)]
     checks.append(
-        law_from_maps(
-            "brz4",
-            compose(mu_sigma, compose(tensor_map(c.r, id_v), tensor_map(id_v, c.sigma))),
-            compose(mu_sigma, tensor_map(c.sigma, id_v)),
-        )
+        law_from_maps("brz4", (n, n, n), [(sigma, 1), (r, 0)] + mu_sigma, [(sigma, 0)] + mu_sigma)
     )
     checks.append(
-        law_from_maps(
-            "brz5",
-            compose(mu_sigma, compose(tensor_map(c.r, id_v), tensor_map(id_v, c.r))),
-            compose(
-                compose(tensor_map(mu, id_v), tensor_map(id_a, c.r)),
-                tensor_map(c.sigma, id_a),
-            ),
-        )
+        law_from_maps("brz5", (n, n, m), [(r, 1), (r, 0)] + mu_sigma, [(sigma, 0), (r, 1), (mu, 0)])
     )
     return AxiomReport(tuple(checks))
 
 
-def _product_legs(c: CrossedData) -> tuple[LinMap, LinMap, LinMap]:
-    """mu2 (x) id, id (x) id (x) sigma and id (x) R (x) id; their composite,
-    in this order from the left, is the product on A (x) V."""
-    id_a, id_v = identity(c.field, (c.a.dim,)), identity(c.field, (c.v.dim,))
-    return (
-        tensor_map(mu2(c.a), id_v),
-        tensor_map(tensor_map(id_a, id_a), c.sigma),
-        tensor_map(tensor_map(id_a, c.r), id_v),
-    )
+def _product_steps(c: CrossedData) -> list:
+    """The product on A (x) V as steps on (m, n, m, n): R on the middle legs,
+    sigma on the two V legs, then the triple product of A."""
+    return [(c.r, 1), (c.sigma, 2), (mu2(c.a), 0)]
 
 
 def crossed_mult(c: CrossedData) -> LinMap:
     """The product on A (x) V as a map (m, n, m, n) -> (m, n)."""
-    mu2_v, sigma, r = _product_legs(c)
-    return compose(compose(mu2_v, sigma), r)
+    m, n = c.a.dim, c.v.dim
+    return _Wiring((m, n, m, n), _product_steps(c)).to_map()
 
 
 def build_crossed_product(c: CrossedData) -> Algebra:

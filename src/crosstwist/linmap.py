@@ -7,9 +7,19 @@ indexed row-major and left-associated: the pair (i, j) with 0 <= i < dim X,
 extend the same rule to the left.  With that convention the tensor product
 of maps is the Kronecker product of their matrices.
 
+Composites are written as wiring: a list of (map, lead) steps on a tensor
+product with given factor dims (its legs), where step (f, lead) applies f to
+the legs from position ``lead`` on that f's domain covers and leaves the
+other legs alone, so no identity map pads it; lead ``None`` feeds f every
+leg, matched by total.  ``_Wiring`` compiles such a list once and pushes
+sparse vectors {flat index: nonzero} through it.  A map is built by pushing
+each basis column, and two wirings are compared column by column, stopping at
+the first column that differs.  ``compose``, ``tensor_map`` and
+``first_difference`` are single wirings.
+
 All values are immutable after construction and every operation is a pure
-function.  Entries are validated when a map is constructed; the products here
-build their results from already-canonical entries and skip that check.
+function.  Entries are validated when a map is constructed; the maps built
+here hold entries that are already canonical and skip that check.
 """
 
 from __future__ import annotations
@@ -101,14 +111,93 @@ class LinMap:
         return tuple(row[col] for row in self.matrix)
 
 
-def _require_same_field(*maps: LinMap) -> Field:
-    field = maps[0].field
-    for m in maps[1:]:
-        if m.field != field:
-            raise ShapeError(
-                f"field mismatch: {m.field.describe()} vs {field.describe()}"
-            )
-    return field
+def _sparse(field: Field, v: Sequence[Scalar]) -> dict[int, Scalar]:
+    """The nonzero entries {index: entry} of a vector, each checked against the field."""
+    return {i: x for i, x in enumerate(map(field.check, v)) if x}
+
+
+class _Wiring:
+    """(map, lead) steps compiled on a tensor product with factor dims ``legs``.
+
+    Step (f, lead) applies f to the len(f.domain_dims) legs from position
+    ``lead``, whose dims must be f's domain dims; step (f, None) applies f to
+    all legs, matched by total only.  ``dims`` are the legs after the last
+    step.  All maps must be over ``field`` (by default the first map's).
+    """
+
+    def __init__(self, legs: Sequence[int], steps, field: Field | None = None):
+        self.legs = dims = tuple(legs)
+        self.field = field if field is not None else steps[0][0].field
+        self._compiled = []
+        for f, lead in steps:
+            if f.field != self.field:
+                raise ShapeError(f"field mismatch: {f.field.describe()} vs {self.field.describe()}")
+            k = len(f.domain_dims)
+            if lead is None and f.domain_total == _total(dims):
+                lead, k = 0, len(dims)
+            elif lead is None or dims[lead : lead + k] != f.domain_dims:
+                raise ShapeError(f"a map on {f.domain_dims} does not fit legs {dims} at {lead}")
+            right = _total(dims[lead + k :])
+            cols = [[] for _ in range(f.domain_total)]  # (row offset, entry) of each nonzero
+            for i, row in enumerate(f.matrix):
+                for j, a in enumerate(row):
+                    if a:
+                        cols[j].append((i * right, a))
+            self._compiled.append((f.domain_total * right, right, f.codomain_total * right, cols))
+            dims = dims[:lead] + f.codomain_dims + dims[lead + k :]
+        self.dims = dims
+
+    def push(self, vec: dict[int, Scalar]) -> dict[int, Scalar]:
+        """The image of a sparse vector {flat index: nonzero}, in the same form."""
+        add, mul = self.field.add, self.field.mul
+        for block, right, out_block, cols in self._compiled:
+            out = {}
+            for x, c in vec.items():
+                hi, rest = divmod(x, block)
+                j, lo = divmod(rest, right)
+                base = hi * out_block + lo
+                for i, a in cols[j]:
+                    y = base + i
+                    out[y] = add(out[y], mul(c, a)) if y in out else mul(c, a)
+            vec = {y: v for y, v in out.items() if v}
+        return vec
+
+    def apply(self, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
+        """The image of a dense vector over the legs, as a dense vector."""
+        n = _total(self.legs)
+        if len(v) != n:
+            raise ShapeError(f"vector length {len(v)} does not match domain total {n}")
+        out = [self.field.zero()] * _total(self.dims)
+        for i, x in self.push(_sparse(self.field, v)).items():
+            out[i] = x
+        return tuple(out)
+
+    def to_map(self) -> LinMap:
+        """The composite as a map, one pushed basis column at a time."""
+        zero, one = self.field.zero(), self.field.one()
+        n = _total(self.legs)
+        rows = [[zero] * n for _ in range(_total(self.dims))]
+        for j in range(n):
+            for i, x in self.push({j: one}).items():
+                rows[i][j] = x
+        return LinMap._trusted(self.field, self.legs, self.dims, tuple(tuple(r) for r in rows))
+
+    def first_difference(self, steps):
+        """First (domain multi-index, codomain multi-index, lhs, rhs) where this
+        composite and that of ``steps`` on the same legs differ.  Basis columns
+        are pushed through both in ascending flat order, and the scan stops at
+        the first column that differs."""
+        other = _Wiring(self.legs, steps, self.field)
+        if _total(self.dims) != _total(other.dims):
+            raise ShapeError(f"cannot compare maps into {self.dims} and {other.dims}")
+        zero, one = self.field.zero(), self.field.one()
+        for j in range(_total(self.legs)):
+            got, want = self.push({j: one}), other.push({j: one})
+            if got != want:
+                i = min(y for y in got.keys() | want.keys() if got.get(y) != want.get(y))
+                a, b = got.get(i, zero), want.get(i, zero)
+                return unflatten(j, self.legs), unflatten(i, self.dims), a, b
+        return None
 
 
 def identity(field: Field, dims: Sequence[int]) -> LinMap:
@@ -144,93 +233,25 @@ class MapBuilder:
         )
 
 
-def _nonzeros(row: Sequence[Scalar]) -> list[tuple[int, Scalar]]:
-    return [(j, x) for j, x in enumerate(row) if x]
-
-
 def compose(f: LinMap, g: LinMap) -> LinMap:
-    """Matrix product f.g, i.e. the map x -> f(g(x)), over nonzeros only: row i
-    gains a.b for each nonzero a = f[i][t] and each nonzero b in row t of g."""
-    field = _require_same_field(f, g)
-    if f.domain_total != g.codomain_total:
-        raise ShapeError(
-            f"compose: domain total {f.domain_total} of the outer map does not match "
-            f"codomain total {g.codomain_total} of the inner map"
-        )
-    add, mul, zero = field.add, field.mul, field.zero()
-    g_rows = [_nonzeros(row) for row in g.matrix]
-    rows = []
-    for f_row in f.matrix:
-        row = [zero] * g.domain_total
-        for t, a in _nonzeros(f_row):
-            for j, b in g_rows[t]:
-                row[j] = add(row[j], mul(a, b))
-        rows.append(tuple(row))
-    return LinMap._trusted(field, g.domain_dims, f.codomain_dims, tuple(rows))
+    """Matrix product f.g, i.e. the map x -> f(g(x))."""
+    return _Wiring(g.domain_dims, [(g, 0), (f, None)]).to_map()
 
 
 def tensor_map(f: LinMap, g: LinMap) -> LinMap:
-    """Kronecker product; factor lists concatenate.  Only products of nonzero
-    pairs are computed; every other entry is the field's zero."""
-    field = _require_same_field(f, g)
-    mul, zero = field.mul, field.zero()
-    width = g.domain_total
-    g_rows = [_nonzeros(row) for row in g.matrix]
-    rows = []
-    for f_row in f.matrix:
-        f_nz = [(j * width, a) for j, a in _nonzeros(f_row)]
-        for g_nz in g_rows:
-            row = [zero] * (f.domain_total * width)
-            for offset, a in f_nz:
-                for q, b in g_nz:
-                    row[offset + q] = mul(a, b)
-            rows.append(tuple(row))
-    return LinMap._trusted(
-        field,
-        f.domain_dims + g.domain_dims,
-        f.codomain_dims + g.codomain_dims,
-        tuple(rows),
-    )
+    """Kronecker product; factor lists concatenate."""
+    return _Wiring(f.domain_dims + g.domain_dims, [(f, 0), (g, len(f.codomain_dims))]).to_map()
 
 
 def apply(f: LinMap, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Matrix-vector product, exact."""
-    if len(v) != f.domain_total:
-        raise ShapeError(f"vector length {len(v)} does not match domain total {f.domain_total}")
-    field = f.field
-    vec = [field.check(x) for x in v]
-    zero = field.zero()
-    out = []
-    for row in f.matrix:
-        acc = zero
-        for a, x in zip(row, vec):
-            if a != zero and x != zero:
-                acc = field.add(acc, field.mul(a, x))
-        out.append(acc)
-    return tuple(out)
+    return _Wiring(f.domain_dims, [(f, 0)]).apply(v)
 
 
 def first_difference(f: LinMap, g: LinMap) -> tuple[tuple[int, ...], tuple[int, ...], Scalar, Scalar] | None:
-    """First (domain multi-index, codomain multi-index, lhs, rhs) where entries differ.
-
-    Columns are scanned in ascending flat order so the answer is deterministic.
-    """
-    _require_same_field(f, g)
-    if f.domain_total != g.domain_total or f.codomain_total != g.codomain_total:
-        raise ShapeError(
-            f"cannot compare maps of shapes {f.codomain_total}x{f.domain_total} "
-            f"and {g.codomain_total}x{g.domain_total}"
-        )
-    for j in range(f.domain_total):
-        for i in range(f.codomain_total):
-            if f.matrix[i][j] != g.matrix[i][j]:
-                return (
-                    unflatten(j, f.domain_dims),
-                    unflatten(i, f.codomain_dims),
-                    f.matrix[i][j],
-                    g.matrix[i][j],
-                )
-    return None
+    """First (domain multi-index, codomain multi-index, lhs, rhs) where entries
+    differ, in ascending flat order of columns, then rows."""
+    return _Wiring(f.domain_dims, [(f, 0)]).first_difference([(g, None)])
 
 
 def maps_equal(f: LinMap, g: LinMap) -> bool:

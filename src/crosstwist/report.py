@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .linmap import LinMap, first_difference
+from .linmap import _Wiring
 
 # Fixed vocabulary of law names used by every checker and by the interchange
 # format.  theta_mult and sigma_prime_ttp name the algebra-map and the
@@ -56,12 +56,13 @@ class LawCheck:
     def from_vectors(
         cls, law: str, cases: Iterable[tuple[tuple[int, ...], Sequence, Sequence, str]]
     ) -> LawCheck:
-        """Fail on the first case (index, got, want, detail) whose vectors differ.
+        """Fail on the first case (index, got, want, detail) whose vectors differ;
+        both vectors of a case are tuples, or both sparse {flat index: nonzero}.
 
         ``cases`` is consumed lazily, so no case after the first failure is built.
         """
         for index, got, want, detail in cases:
-            if tuple(got) != tuple(want):
+            if got != want:
                 return cls(law, False, first_counterexample=index, detail=detail)
         return cls(law, True)
 
@@ -106,9 +107,10 @@ def format_check(c: LawCheck) -> str:
     return f"[{status}] {c.law}{where}{detail}"
 
 
-def law_from_maps(law: str, lhs: LinMap, rhs: LinMap) -> LawCheck:
-    """Compare two realizations of the same map; record the first bad column."""
-    diff = first_difference(lhs, rhs)
+def law_from_maps(law: str, legs: Sequence[int], lhs, rhs) -> LawCheck:
+    """Compare two wirings of (map, lead) steps on ``legs``, column by column;
+    record the first bad column."""
+    diff = _Wiring(legs, lhs).first_difference(rhs)
     if diff is None:
         return LawCheck(law, True)
     col, row, a, b = diff

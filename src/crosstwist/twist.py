@@ -4,8 +4,9 @@ and the certified isomorphism between the old and new products.
 Given crossed data (A, V, R, sigma) and a pair of maps theta, gamma: V -> A(x)V
 subject to four conditions, the twisted data (A, V, R', sigma') is again a
 crossed product and phi(a (x) v) = a.theta(v) is an algebra isomorphism onto
-the original one.  Every conclusion is certified here by exact matrix
-identities; nothing is taken on faith from the constructions.
+the original one.  Every conclusion is certified here by exact identities
+between wirings of the maps, compared column by column; nothing is taken on
+faith from the constructions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .algebra import Algebra, PointedSpace, check_algebra, mu2, opposite_unit_in
 from .crossed import (
     CrossedData,
     TwistingMapData,
-    _product_legs,
+    _product_steps,
     check_brz_axioms,
     check_twisting_map,
     crossed_mult,
@@ -27,13 +28,12 @@ from .linmap import (
     LinMap,
     ShapeError,
     SingularMapError,
+    _Wiring,
     apply,
     compose,
-    identity,
     invert,
     kron_vec,
     random_matrix_map,
-    tensor_map,
 )
 from .report import AxiomReport, LawCheck, law_from_maps, merge
 
@@ -79,32 +79,19 @@ def trivial_pair(a: Algebra, v: PointedSpace) -> TwistPair:
 
 def phi_map(a: Algebra, chi: LinMap) -> LinMap:
     """The endomorphism of A (x) V sending a (x) v to a.chi(v)."""
-    id_a = identity(a.field, (a.dim,))
-    return compose(tensor_map(a.mult, identity(a.field, chi.domain_dims)), tensor_map(id_a, chi))
+    return _Wiring((a.dim,) + chi.domain_dims, [(chi, 1), (a.mult, 0)]).to_map()
 
 
 def make_r_prime(c: CrossedData, t: TwistPair) -> LinMap:
     """R' = (mu2 (x) id).(id (x) id (x) gamma).(id (x) R).(theta (x) id)."""
-    field = c.field
-    m = c.a.dim
-    id_a = identity(field, (m,))
-    id_aa = tensor_map(id_a, id_a)
-    return compose(
-        tensor_map(mu2(c.a), identity(field, (c.v.dim,))),
-        compose(
-            tensor_map(id_aa, t.gamma),
-            compose(tensor_map(id_a, c.r), tensor_map(t.theta, id_a)),
-        ),
-    )
+    steps = [(t.theta, 0), (c.r, 1), (t.gamma, 2), (mu2(c.a), 0)]
+    return _Wiring((c.v.dim, c.a.dim), steps).to_map()
 
 
 def make_sigma_prime(c: CrossedData, t: TwistPair) -> LinMap:
     """sigma' = (mu (x) id).(id (x) gamma) applied after the old product of theta-images."""
-    id_a, id_v = identity(c.field, (c.a.dim,)), identity(c.field, (c.v.dim,))
-    # the old product, leg by leg from the right, so it is never built on all of A(x)V(x)A(x)V
-    mu2_v, sigma, r = _product_legs(c)
-    products = compose(mu2_v, compose(sigma, compose(r, tensor_map(t.theta, t.theta))))
-    return compose(tensor_map(c.a.mult, id_v), compose(tensor_map(id_a, t.gamma), products))
+    steps = [(t.theta, 0), (t.theta, 2)] + _product_steps(c) + [(t.gamma, 1), (c.a.mult, 0)]
+    return _Wiring((c.v.dim, c.v.dim), steps).to_map()
 
 
 def check_pair_units(a: Algebra, v: PointedSpace, t: TwistPair) -> LawCheck:
@@ -119,9 +106,9 @@ def check_pair_units(a: Algebra, v: PointedSpace, t: TwistPair) -> LawCheck:
 
 def check_mutual_inverse(a: Algebra, v: PointedSpace, t: TwistPair) -> tuple[LawCheck, LawCheck]:
     """Conditions cros2 and cros3 as map equalities against the unit insertion."""
-    iota = opposite_unit_insertion(a, v)
-    cros2 = law_from_maps("cros2", compose(phi_map(a, t.gamma), t.theta), iota)
-    cros3 = law_from_maps("cros3", compose(phi_map(a, t.theta), t.gamma), iota)
+    iota = [(opposite_unit_insertion(a, v), 0)]
+    cros2 = law_from_maps("cros2", (v.dim,), [(t.theta, 0), (t.gamma, 1), (a.mult, 0)], iota)
+    cros3 = law_from_maps("cros3", (v.dim,), [(t.gamma, 0), (t.theta, 1), (a.mult, 0)], iota)
     return cros2, cros3
 
 
@@ -132,30 +119,20 @@ def check_twist_conditions(c: CrossedData, t: TwistPair) -> AxiomReport:
 
 def _twist_conditions(c: CrossedData, t: TwistPair) -> tuple[AxiomReport, LinMap]:
     """cros1..cros4 together with the sigma' that cros4 was checked against."""
-    field = c.field
     m, n = c.a.dim, c.v.dim
     if t.theta.domain_dims != (n,) or t.theta.codomain_dims != (m, n):
         raise ShapeError(
             f"pair must map ({n},) -> ({m}, {n}); got {t.theta.domain_dims} -> {t.theta.codomain_dims}"
         )
-    id_a, id_v = identity(field, (m,)), identity(field, (n,))
     checks = [check_pair_units(c.a, c.v, t)]
     checks.extend(check_mutual_inverse(c.a, c.v, t))
 
     # cros4 references sigma', so it is computed first.
     sigma_prime = make_sigma_prime(c, t)
-    lhs = compose(
-        tensor_map(c.a.mult, id_v),
-        compose(
-            tensor_map(c.a.mult, sigma_prime),
-            compose(
-                tensor_map(tensor_map(id_a, t.gamma), id_v),
-                compose(tensor_map(c.r, id_v), tensor_map(id_v, t.gamma)),
-            ),
-        ),
-    )
-    rhs = compose(tensor_map(c.a.mult, id_v), compose(tensor_map(id_a, t.gamma), c.sigma))
-    checks.append(law_from_maps("cros4", lhs, rhs))
+    mu, gamma = c.a.mult, t.gamma
+    lhs = [(gamma, 1), (c.r, 0), (gamma, 1), (sigma_prime, 2), (mu, 0), (mu, 0)]
+    rhs = [(c.sigma, 0), (gamma, 1), (mu, 0)]
+    checks.append(law_from_maps("cros4", (n, n), lhs, rhs))
     return AxiomReport(tuple(checks)), sigma_prime
 
 
@@ -165,23 +142,22 @@ def verify_twist_result(c: CrossedData, result: TwistResult) -> AxiomReport:
     field = c.field
     checks = list(check_brz_axioms(result.data_prime).checks)
 
-    id_av = identity(field, (c.a.dim, c.v.dim))
-    fwd = compose(result.phi, result.phi_inverse)
-    bwd = compose(result.phi_inverse, result.phi)
-    invertible = law_from_maps("phi_invertible", fwd, id_av)
-    checks.append(law_from_maps("phi_invertible", bwd, id_av) if invertible.passed else invertible)
+    phi, phi_inverse = result.phi, result.phi_inverse
+    fwd = [(phi_inverse, 0), (phi, None)]
+    invertible = law_from_maps("phi_invertible", phi_inverse.domain_dims, fwd, [])
+    if invertible.passed:
+        bwd = [(phi, 0), (phi_inverse, None)]
+        invertible = law_from_maps("phi_invertible", phi.domain_dims, bwd, [])
+    checks.append(invertible)
 
     one = kron_vec(field, c.a.unit, c.v.point)
-    unital = ((), apply(result.phi, one), one, "phi(1 (x) 1) != 1 (x) 1")
+    unital = ((), apply(phi, one), one, "phi(1 (x) 1) != 1 (x) 1")
     checks.append(LawCheck.from_vectors("phi_unital", [unital]))
 
-    checks.append(
-        law_from_maps(
-            "phi_mult",
-            compose(crossed_mult(c), tensor_map(result.phi, result.phi)),
-            compose(result.phi, crossed_mult(result.data_prime)),
-        )
-    )
+    legs = phi.domain_dims * 2
+    lhs = [(phi, 0), (phi, len(phi.codomain_dims)), (crossed_mult(c), None)]
+    rhs = [(crossed_mult(result.data_prime), None), (phi, None)]
+    checks.append(law_from_maps("phi_mult", legs, lhs, rhs))
     return AxiomReport(tuple(checks))
 
 
@@ -233,39 +209,30 @@ def specialize_ttp(t: TwistingMapData, star: LinMap, pair: TwistPair) -> AxiomRe
         TwistPreconditionError, "star multiplication fails {law} with the unit of B: {detail}"
     )
 
-    field = t.field
-    m = t.a.dim
     data = twisted_tensor_product(t)
-    mu_ttp = crossed_mult(data)
-    id_a, id_b = identity(field, (m,)), identity(field, (nb,))
+    theta, gamma = pair.theta, pair.gamma
 
     checks = [check_pair_units(t.a, data.v, pair)]
     checks.append(
         law_from_maps(
             "theta_mult",
-            compose(pair.theta, star),
-            compose(mu_ttp, tensor_map(pair.theta, pair.theta)),
+            (nb, nb),
+            [(star, 0), (theta, 0)],
+            [(theta, 0), (theta, 2)] + _product_steps(data),
         )
     )
 
     # rel1: gamma of a product, rewritten through R and the star product.
-    lhs = compose(pair.gamma, t.b.mult)
-    rhs = compose(
-        tensor_map(t.a.mult, star),
-        compose(
-            tensor_map(tensor_map(id_a, pair.gamma), id_b),
-            compose(tensor_map(t.r, id_b), tensor_map(id_b, pair.gamma)),
-        ),
-    )
-    checks.append(law_from_maps("rel1", lhs, rhs))
+    rhs = [(gamma, 1), (t.r, 0), (gamma, 1), (star, 2), (t.a.mult, 0)]
+    checks.append(law_from_maps("rel1", (nb, nb), [(t.b.mult, 0), (gamma, 0)], rhs))
 
     mutual = check_mutual_inverse(t.a, data.v, pair)
     checks.extend(replace(c, law=law) for law, c in zip(("rel2", "rel3"), mutual))
 
     iota = opposite_unit_insertion(t.a, data.v)
-    checks.append(
-        law_from_maps("sigma_prime_ttp", make_sigma_prime(data, pair), compose(iota, star))
-    )
+    sigma_prime = make_sigma_prime(data, pair)
+    rhs = [(star, 0), (iota, 0)]
+    checks.append(law_from_maps("sigma_prime_ttp", (nb, nb), [(sigma_prime, 0)], rhs))
     return AxiomReport(tuple(checks))
 
 

@@ -1,12 +1,33 @@
 """Independent brute-force oracles: plain nested loops over structure constants,
 sharing no code with the composite-based kernel routines they cross-check.
 
-Also the dense forms of the product kernels (every entry visited, zeros
-included), kept as the reference the sparse kernels are tested against, and
-small helpers that only tests use."""
+Also the dense forms of the product kernels and of the law scan (every entry
+visited, zeros included), kept as the reference the wiring kernel is tested
+against, and small helpers that only tests use."""
 
-from crosstwist import LinMap, MapBuilder, ShapeError
-from crosstwist.linmap import _require_same_field, _total, unflatten
+from crosstwist import (
+    Algebra,
+    LinMap,
+    MapBuilder,
+    ShapeError,
+    compose,
+    flip,
+    identity,
+    kron_vec,
+    reshape,
+    tensor_map,
+)
+from crosstwist.linmap import _total, unflatten
+
+
+def _require_same_field(*maps: LinMap):
+    field = maps[0].field
+    for m in maps[1:]:
+        if m.field != field:
+            raise ShapeError(
+                f"field mismatch: {m.field.describe()} vs {field.describe()}"
+            )
+    return field
 
 
 def flat_index(multi_index, dims) -> int:
@@ -40,6 +61,23 @@ def scale(f: LinMap, c) -> LinMap:
     c = field.check(c)
     rows = tuple(tuple(field.mul(c, x) for x in row) for row in f.matrix)
     return LinMap(field, f.domain_dims, f.codomain_dims, rows)
+
+
+def tensor_algebra(x, y, label: str = ""):
+    """Componentwise product algebra on X (x) Y."""
+    field = x.field
+    mx, my = x.dim, y.dim
+    mid = tensor_map(
+        tensor_map(identity(field, (mx,)), flip(field, my, mx)), identity(field, (my,))
+    )
+    mult = compose(tensor_map(x.mult, y.mult), mid)
+    mult = reshape(mult, (mx * my, mx * my), (mx * my,))
+    return Algebra(
+        mx * my,
+        mult,
+        kron_vec(field, x.unit, y.unit),
+        label=label or f"{x.label}(x){y.label}",
+    )
 
 
 def dense_compose(f: LinMap, g: LinMap) -> LinMap:
@@ -86,6 +124,27 @@ def dense_tensor_map(f: LinMap, g: LinMap) -> LinMap:
         f.codomain_dims + g.codomain_dims,
         tuple(rows),
     )
+
+
+def dense_first_difference(f: LinMap, g: LinMap):
+    """First (domain multi-index, codomain multi-index, lhs, rhs) where entries
+    differ, scanning every entry of each column in ascending flat order."""
+    _require_same_field(f, g)
+    if f.domain_total != g.domain_total or f.codomain_total != g.codomain_total:
+        raise ShapeError(
+            f"cannot compare maps of shapes {f.codomain_total}x{f.domain_total} "
+            f"and {g.codomain_total}x{g.domain_total}"
+        )
+    for j in range(f.domain_total):
+        for i in range(f.codomain_total):
+            if f.matrix[i][j] != g.matrix[i][j]:
+                return (
+                    unflatten(j, f.domain_dims),
+                    unflatten(i, f.codomain_dims),
+                    f.matrix[i][j],
+                    g.matrix[i][j],
+                )
+    return None
 
 
 def dense_tensor_elem_product(a, k: int, u, v):

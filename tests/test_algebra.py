@@ -17,11 +17,10 @@ from crosstwist import (
     maps_equal,
     mu2,
     opposite_unit_insertion,
-    tensor_algebra,
     tensor_elem_product,
     tensor_map,
 )
-from oracles import basis_product, triple_product_table
+from oracles import basis_product, tensor_algebra, triple_product_table
 
 F = Rationals()
 C2 = ((0, 1), (1, 0))

@@ -1,20 +1,43 @@
-"""The sparse product kernels against their dense forms in ``oracles``.
+"""The wiring kernel and the sparse products against their dense forms in ``oracles``.
 
 Each example draws maps (or algebra elements) of random factor shapes,
 including 1-dimensional factors, at a sparsity from all-zero to all-nonzero,
 with some whole rows and columns forced to zero.  The kernels must agree
 with the dense oracles entry for entry, keep the factor dims, and hold only
 canonical scalars, so the maps they build without revalidation would pass
-``LinMap.__post_init__`` unchanged.
+``LinMap.__post_init__`` unchanged.  Wirings of (map, lead) steps are checked
+against the identity-padded chain of dense products, and the column-by-column
+law scan against the dense scan of both full composites.
 """
 
 from fractions import Fraction
 from math import prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosstwist import Algebra, LinMap, PrimeField, Rationals, compose, tensor_map, tensor_elem_product
-from oracles import dense_compose, dense_tensor_elem_product, dense_tensor_map
+from crosstwist import (
+    Algebra,
+    LinMap,
+    PrimeField,
+    Rationals,
+    ShapeError,
+    apply,
+    compose,
+    identity,
+    reshape,
+    tensor_elem_product,
+    tensor_map,
+)
+from crosstwist.linmap import _Wiring
+from crosstwist.report import law_from_maps
+from oracles import (
+    dense_compose,
+    dense_first_difference,
+    dense_tensor_elem_product,
+    dense_tensor_map,
+    naive_apply,
+)
 
 FIELDS = (Rationals(), PrimeField(5))
 DENSITIES = (0.0, 0.1, 0.5, 0.9, 1.0)
@@ -117,3 +140,131 @@ def test_tensor_elem_product_matches_dense_oracle(case):
     new = tensor_elem_product(algebra, k, u, v)
     assert new == dense_tensor_elem_product(algebra, k, u, v)
     assert all(is_canonical(algebra.field, x) for x in new)
+
+
+@SETTINGS
+@given(st.sampled_from(FIELDS).flatmap(lambda field: st.tuples(linmaps(field), st.data())))
+def test_apply_matches_dense_oracle(case):
+    f, data = case
+    v = tuple(data.draw(scalars(f.field, f.domain_total)))
+    got = apply(f, v)
+    assert got == naive_apply(f, v)
+    assert all(is_canonical(f.field, x) for x in got)
+
+
+@st.composite
+def wirings(draw, field, legs):
+    """(steps, dense chain): up to four (map, lead) steps on ``legs``, each on
+    one or two adjacent legs or, with lead None, on all of them by total, and
+    the composite of the same maps padded with identities by dense products."""
+    dims, steps, chain = tuple(legs), [], None
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()) and prod(dims) <= 12:
+            lead, k = None, len(dims)
+            domain = (prod(dims),)
+        else:
+            lead = draw(st.integers(0, len(dims) - 1))
+            k = draw(st.integers(1, min(2, len(dims) - lead)))
+            domain = dims[lead : lead + k]
+        rest = prod(dims) // prod(domain)
+        codomain = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+        if rest * prod(codomain) > 36:
+            codomain = (1,)
+        f = draw(linmaps(field, domain, codomain))
+        steps.append((f, lead))
+        left, right = (dims[:lead], dims[lead + k :]) if lead is not None else ((), ())
+        padded = f
+        if left:
+            padded = dense_tensor_map(identity(field, left), padded)
+        if right:
+            padded = dense_tensor_map(padded, identity(field, right))
+        chain = padded if chain is None else dense_compose(padded, chain)
+        dims = left + codomain + right
+    return steps, reshape(chain, legs, chain.codomain_dims)
+
+
+@st.composite
+def wired(draw):
+    field = draw(st.sampled_from(FIELDS))
+    legs = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    return (legs,) + draw(wirings(field, legs))
+
+
+@SETTINGS
+@given(wired())
+def test_wiring_matches_identity_padded_chain(case):
+    legs, steps, chain = case
+    assert_same(_Wiring(legs, steps).to_map(), chain)
+
+
+def cancelling(field, total):
+    """Steps x -> (x, x) -> (1 + J)x - Jx on (total,), J the all-ones matrix:
+    the identity, written so that each zero entry of x gets the terms sum(x)
+    and -sum(x), which cancel."""
+    one, zero = field.one(), field.zero()
+    rows = tuple(tuple(one if r % total == t else zero for t in range(total)) for r in range(2 * total))
+    copy = LinMap(field, (total,), (2, total), rows)
+    rows = tuple(
+        tuple(field.add(one, one) if t == i else one for t in range(total)) + (field.neg(one),) * total
+        for i in range(total)
+    )
+    return [(copy, None), (LinMap(field, (2, total), (total,), rows), 0)]
+
+
+@st.composite
+def scanned(draw):
+    """Legs, two wirings on them with equal output totals, and their dense
+    composites.  The left side may end in steps whose sum is the identity but
+    whose terms cancel.  The right side is the left composite as one step, as
+    it is or with one entry bumped, or a wiring of its own ending in a map
+    onto the left side's output dims."""
+    legs, lhs, dense_lhs = draw(wired())
+    field = dense_lhs.field
+    if draw(st.booleans()):
+        steps = cancelling(field, dense_lhs.codomain_total)
+        lhs = lhs + steps
+        for f, _ in steps:
+            dense_lhs = dense_compose(f, dense_lhs)
+    kind = draw(st.sampled_from(("same", "bumped", "other")))
+    if kind == "other":
+        rhs, dense_rhs = draw(wirings(field, legs))
+        last = draw(linmaps(field, dense_rhs.codomain_dims, dense_lhs.codomain_dims))
+        return legs, lhs, dense_lhs, rhs + [(last, 0)], dense_compose(last, dense_rhs)
+    target = dense_lhs
+    if kind == "bumped":
+        row = draw(st.integers(0, target.codomain_total - 1))
+        col = draw(st.integers(0, target.domain_total - 1))
+        rows = [list(r) for r in target.matrix]
+        rows[row][col] = field.add(rows[row][col], field.one())
+        target = LinMap(field, target.domain_dims, target.codomain_dims, tuple(map(tuple, rows)))
+    return legs, lhs, dense_lhs, [(target, None)], target
+
+
+@SETTINGS
+@given(scanned())
+def test_lazy_scan_matches_dense_scan(case):
+    legs, lhs, dense_lhs, rhs, dense_rhs = case
+    want = dense_first_difference(dense_lhs, dense_rhs)
+    got = _Wiring(legs, lhs).first_difference(rhs)
+    assert got == want
+    check = law_from_maps("assoc", legs, lhs, rhs)
+    assert check.passed == (want is None)
+    if want is not None:
+        col, row, a, b = got
+        assert all(is_canonical(dense_lhs.field, x) for x in (a, b))
+        assert check.first_counterexample == col
+        assert check.detail == f"lhs[{row}] = {a}, rhs[{row}] = {b} on basis input {col}"
+
+
+def test_steps_over_different_fields_are_refused():
+    q, gf5 = FIELDS
+    f = identity(q, (2,))
+    g = identity(gf5, (2,))
+    for build in (
+        lambda: _Wiring((2,), [(f, 0), (g, 0)]),
+        lambda: _Wiring((2,), [(f, 0)]).first_difference([(g, 0)]),
+        lambda: compose(f, g),
+        lambda: tensor_map(f, g),
+    ):
+        with pytest.raises(ShapeError, match="field mismatch"):
+            build()
