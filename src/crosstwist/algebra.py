@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import Field, Scalar
-from .linmap import LinMap, ShapeError, _Wiring, apply, basis_vector, kron_vec, unflatten
+from .linmap import LinMap, ShapeError, _sparse, _Wiring, apply, basis_vector, kron_vec
 from .report import AxiomReport, LawCheck, law_from_maps
 
 
@@ -74,20 +74,18 @@ class PointedSpace:
 def check_algebra(a: Algebra) -> AxiomReport:
     """Verify associativity and both unit laws; failures are data, not errors."""
     field, mult, m = a.field, a.mult, a.dim
+    push, unit, one = _Wiring((m, m), [(mult, 0)]).push, _sparse(field, a.unit).items(), field.one()
+
+    def unit_cases(detail, start):
+        """unit * e_j = e_j (or e_j * unit = e_j); only a failing case renders the product."""
+        for j in range(m):
+            got = push({start(i, j): x for i, x in unit})
+            dense = "" if got == {j: one} else [got.get(i, field.zero()) for i in range(m)]
+            yield (j,), got, {j: one}, detail.format(j=j, got=dense)
+
     checks = [law_from_maps("assoc", (m,) * 3, [(mult, 0), (mult, 0)], [(mult, 1), (mult, 0)])]
-    basis = [basis_vector(field, m, j) for j in range(m)]
-    left = ((j, e, a.product(a.unit, e)) for j, e in enumerate(basis))
-    right = ((j, e, a.product(e, a.unit)) for j, e in enumerate(basis))
-    checks.append(
-        LawCheck.from_vectors(
-            "unit_left", (((j,), got, e, f"unit * e_{j} = {list(got)}") for j, e, got in left)
-        )
-    )
-    checks.append(
-        LawCheck.from_vectors(
-            "unit_right", (((j,), got, e, f"e_{j} * unit = {list(got)}") for j, e, got in right)
-        )
-    )
+    checks.append(LawCheck.from_vectors("unit_left", unit_cases("unit * e_{j} = {got}", lambda i, j: i * m + j)))
+    checks.append(LawCheck.from_vectors("unit_right", unit_cases("e_{j} * unit = {got}", lambda i, j: j * m + i)))
     return AxiomReport(tuple(checks))
 
 
@@ -154,34 +152,56 @@ def tensor_elem_product(
 ) -> tuple[Scalar, ...]:
     """Product of two elements of the k-fold tensor power algebra of ``a``.
 
-    Works coordinatewise over the nonzero entries, so it stays cheap even
-    where the full multiplication matrix of the power algebra would not.
+    Splits on the first leg: u = sum e_i (x) u_i and v = sum e_j (x) v_j give
+    uv = sum (e_i e_j) (x) (u_i v_j), so each pair of nonzero scalars is multiplied
+    once, on the last leg, and a structure constant other than one scales a partial sum.
     """
-    field = a.field
-    m = a.dim
-    dims = (m,) * k
+    field, m = a.field, a.dim
     total = m**k
+    if k < 1:
+        raise ShapeError(f"tensor powers start at k = 1, got k = {k}")
     if len(u) != total or len(v) != total:
         raise ShapeError(f"expected vectors of length {total} in the {k}-fold power")
-    add, mul = field.add, field.mul
-    # table[i*m + j]: the nonzero (w, c) with e_i e_j = sum of c e_w
+    add, mul, one, zero = field.add, field.mul, field.one(), field.zero()
+    # table[i*m + j]: the nonzero (w, c) with e_i e_j = sum of c e_w, c None for one
     table = [[] for _ in range(m * m)]
     for w, row in enumerate(a.mult.matrix):
         for col, c in enumerate(row):
             if c:
-                table[col].append((w, c))
-    out = [field.zero()] * total
-    nz_u = [(unflatten(i, dims), x) for i, x in enumerate(u) if x]
-    nz_v = [(unflatten(i, dims), x) for i, x in enumerate(v) if x]
-    for ia, xa in nz_u:
-        for ib, xb in nz_v:
-            terms = [(0, mul(xa, xb))]
-            for t in range(k):
-                col = table[ia[t] * m + ib[t]]
-                terms = [(flat * m + w, mul(coeff, c)) for flat, coeff in terms for w, c in col]
-            for flat, coeff in terms:
-                out[flat] = add(out[flat], coeff)
-    return tuple(out)
+                table[col].append((w, None if c == one else c))
+
+    def split(x, n):
+        """Sparse x on n legs as {i: x_i} with x = sum e_i (x) x_i, each x_i split again."""
+        if n == 1:
+            return x
+        parts, block = {}, m ** (n - 1)
+        for flat, s in x.items():
+            i, rest = divmod(flat, block)
+            parts.setdefault(i, {})[rest] = s
+        return {i: split(part, n - 1) for i, part in parts.items()}
+
+    def product(x, y, n):
+        """x y for x, y on n legs, split by ``split``."""
+        out, block = {}, m ** (n - 1)
+        if n == 1:  # the last leg: one product per pair, scattered by e_i e_j
+            for i, s in x.items():
+                for j, t in y.items():
+                    p = mul(s, t)
+                    for w, c in table[i * m + j]:
+                        q = p if c is None else mul(p, c)
+                        out[w] = add(out[w], q) if w in out else q
+        else:  # one product u_i v_j per pair, scattered by e_i e_j
+            for i, xi in x.items():
+                for j, yj in y.items():
+                    part = product(xi, yj, n - 1).items()
+                    for w, c in table[i * m + j]:
+                        for r, s in part:
+                            z, q = w * block + r, s if c is None else mul(s, c)
+                            out[z] = add(out[z], q) if z in out else q
+        return {z: s for z, s in out.items() if s}
+
+    got = product(split(_sparse(field, u), k), split(_sparse(field, v), k), k)
+    return tuple(got.get(z, zero) for z in range(total))
 
 
 def opposite_unit_insertion(a: Algebra, v: PointedSpace) -> LinMap:

@@ -12,10 +12,13 @@ product with given factor dims (its legs), where step (f, lead) applies f to
 the legs from position ``lead`` on that f's domain covers and leaves the
 other legs alone, so no identity map pads it; lead ``None`` feeds f every
 leg, matched by total.  ``_Wiring`` compiles such a list once and pushes
-sparse vectors {flat index: nonzero} through it.  A map is built by pushing
-each basis column, and two wirings are compared column by column, stopping at
-the first column that differs.  ``compose``, ``tensor_map`` and
-``first_difference`` are single wirings.
+sparse vectors {flat index: nonzero} through it.  An entry equal to one is
+compiled as a marker that adds the incoming coefficient without a product
+(flips, identities and group-algebra products are 0/1 maps).  A map is built
+by pushing each basis column, and two wirings are compared column by column,
+stopping at the first differing column.  ``compose``, ``tensor_map`` and
+``first_difference`` are single wirings.  ``algebra.tensor_elem_product``
+splits on the first leg instead, so that u (x) v is never built.
 
 All values are immutable after construction and every operation is a pure
 function.  Entries are validated when a map is constructed; the maps built
@@ -128,6 +131,7 @@ class _Wiring:
     def __init__(self, legs: Sequence[int], steps, field: Field | None = None):
         self.legs = dims = tuple(legs)
         self.field = field if field is not None else steps[0][0].field
+        one = self.field.one()
         self._compiled = []
         for f, lead in steps:
             if f.field != self.field:
@@ -138,11 +142,11 @@ class _Wiring:
             elif lead is None or dims[lead : lead + k] != f.domain_dims:
                 raise ShapeError(f"a map on {f.domain_dims} does not fit legs {dims} at {lead}")
             right = _total(dims[lead + k :])
-            cols = [[] for _ in range(f.domain_total)]  # (row offset, entry) of each nonzero
+            cols = [[] for _ in range(f.domain_total)]  # (row offset, entry or None for one)
             for i, row in enumerate(f.matrix):
                 for j, a in enumerate(row):
                     if a:
-                        cols[j].append((i * right, a))
+                        cols[j].append((i * right, None if a == one else a))
             self._compiled.append((f.domain_total * right, right, f.codomain_total * right, cols))
             dims = dims[:lead] + f.codomain_dims + dims[lead + k :]
         self.dims = dims
@@ -157,8 +161,8 @@ class _Wiring:
                 j, lo = divmod(rest, right)
                 base = hi * out_block + lo
                 for i, a in cols[j]:
-                    y = base + i
-                    out[y] = add(out[y], mul(c, a)) if y in out else mul(c, a)
+                    y, t = base + i, c if a is None else mul(c, a)
+                    out[y] = add(out[y], t) if y in out else t
             vec = {y: v for y, v in out.items() if v}
         return vec
 

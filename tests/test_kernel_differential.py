@@ -7,10 +7,14 @@ with the dense oracles entry for entry, keep the factor dims, and hold only
 canonical scalars, so the maps they build without revalidation would pass
 ``LinMap.__post_init__`` unchanged.  Wirings of (map, lead) steps are checked
 against the identity-padded chain of dense products, and the column-by-column
-law scan against the dense scan of both full composites.
+law scan against the dense scan of both full composites.  Products in tensor
+powers (up to four legs) also draw single-nonzero factors and factors whose
+terms cancel, and a counting field pins how many multiplications the
+leg-split product and a push through a 0/1 map make.
 """
 
 from fractions import Fraction
+from functools import partial, reduce
 from math import prod
 
 import pytest
@@ -22,9 +26,12 @@ from crosstwist import (
     PrimeField,
     Rationals,
     ShapeError,
+    algebra_from_group,
     apply,
     compose,
+    flip,
     identity,
+    kron_vec,
     reshape,
     tensor_elem_product,
     tensor_map,
@@ -109,14 +116,43 @@ def tensor_pairs(draw):
 
 
 @st.composite
+def elements(draw, field, count):
+    """``count`` scalars as ``scalars`` draws them, or a single nonzero entry."""
+    if draw(st.booleans()):
+        return draw(scalars(field, count))
+    out = [field.zero()] * count
+    out[draw(st.integers(0, count - 1))] = field.from_int(draw(st.integers(1, 4)))
+    return out
+
+
+@st.composite
+def cancelling_product(draw, field, m, k):
+    """A group algebra of Z/m and u, v in its k-th power whose product has
+    terms that cancel: on one leg u has the norm element sum_g e_g and v has
+    e_0 - e_h, so that leg of every term sums to zero.  With a random term
+    added to u, only part of the product cancels."""
+    algebra = algebra_from_group([[(i + j) % m for j in range(m)] for i in range(m)], 0, field)
+    leg, h = draw(st.integers(0, k - 1)), draw(st.integers(1, m - 1))
+    norm, diff = [field.one()] * m, [field.zero()] * m
+    diff[0], diff[h] = field.one(), field.neg(field.one())
+    u_legs = [norm if t == leg else draw(elements(field, m)) for t in range(k)]
+    v_legs = [diff if t == leg else draw(elements(field, m)) for t in range(k)]
+    u, v = (reduce(partial(kron_vec, field), legs) for legs in (u_legs, v_legs))
+    if draw(st.booleans()):
+        u = [field.add(a, b) for a, b in zip(u, draw(elements(field, m**k)))]
+    return algebra, k, u, v
+
+
+@st.composite
 def power_products(draw):
     field = draw(st.sampled_from(FIELDS))
     m = draw(st.integers(1, 3))
-    k = draw(st.integers(1, 3 if m < 3 else 2))
+    k = draw(st.integers(1, 4 if m <= 2 else 2))
+    if m > 1 and draw(st.integers(0, 3)) == 0:
+        return draw(cancelling_product(field, m, k))
     mult = draw(linmaps(field, (m, m), (m,)))
     algebra = Algebra(m, mult, tuple(draw(scalars(field, m))))
-    u, v = draw(scalars(field, m**k)), draw(scalars(field, m**k))
-    return algebra, k, u, v
+    return algebra, k, draw(elements(field, m**k)), draw(elements(field, m**k))
 
 
 @SETTINGS
@@ -139,7 +175,17 @@ def test_tensor_elem_product_matches_dense_oracle(case):
     algebra, k, u, v = case
     new = tensor_elem_product(algebra, k, u, v)
     assert new == dense_tensor_elem_product(algebra, k, u, v)
+    assert len(new) == algebra.dim**k
     assert all(is_canonical(algebra.field, x) for x in new)
+
+
+def test_tensor_elem_product_refuses_wrong_lengths():
+    field = FIELDS[0]
+    z2 = algebra_from_group(((0, 1), (1, 0)), 0, field)
+    four, five = [field.one()] * 4, [field.one()] * 5
+    for k, u, v in ((2, four, five), (2, five, four), (3, four, four), (0, [field.one()], [field.one()])):
+        with pytest.raises(ShapeError):
+            tensor_elem_product(z2, k, u, v)
 
 
 @SETTINGS
@@ -268,3 +314,35 @@ def test_steps_over_different_fields_are_refused():
     ):
         with pytest.raises(ShapeError, match="field mismatch"):
             build()
+
+
+class CountingField(PrimeField):
+    """GF(p) that counts its multiplications in ``muls``."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        object.__setattr__(self, "muls", 0)
+
+    def mul(self, a, b):
+        object.__setattr__(self, "muls", self.muls + 1)
+        return super().mul(a, b)
+
+
+class TestFieldOpCounts:
+    def test_power_product_multiplies_each_pair_of_nonzeros_once(self):
+        field = CountingField(5)
+        c2_squared = algebra_from_group([[i ^ j for j in range(4)] for i in range(4)], 0, field)
+        u = [1 + i % 4 for i in range(64)]
+        v = [1 + i % 3 for i in range(64)]
+        before = field.muls
+        got = tensor_elem_product(c2_squared, 3, u, v)
+        assert field.muls - before <= 64 * 64
+        assert got == dense_tensor_elem_product(c2_squared, 3, u, v)
+
+    def test_pushing_through_a_flip_multiplies_nothing(self):
+        field = CountingField(5)
+        swap = flip(field, 3, 4)
+        before = field.muls
+        got = _Wiring((3, 4), [(swap, 0)]).push({j: 1 + j % 4 for j in range(12)})
+        assert field.muls == before
+        assert got == {q * 3 + p: 1 + (p * 4 + q) % 4 for p in range(3) for q in range(4)}
