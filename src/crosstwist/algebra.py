@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import Field, Scalar
-from .linmap import LinMap, ShapeError, _sparse, _Wiring, apply, basis_vector, kron_vec
+from .linmap import LinMap, ShapeError, _element, _sparse, _Wiring, basis_vector
 from .report import AxiomReport, LawCheck, law_from_maps
 
 
@@ -49,10 +49,6 @@ class Algebra:
     def field(self) -> Field:
         return self.mult.field
 
-    def product(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scalar, ...]:
-        """Product of two coordinate vectors."""
-        return apply(self.mult, kron_vec(self.field, u, v))
-
 
 @dataclass(frozen=True)
 class PointedSpace:
@@ -80,8 +76,8 @@ def check_algebra(a: Algebra) -> AxiomReport:
         """unit * e_j = e_j (or e_j * unit = e_j); only a failing case renders the product."""
         for j in range(m):
             got = push({start(i, j): x for i, x in unit})
-            dense = "" if got == {j: one} else [got.get(i, field.zero()) for i in range(m)]
-            yield (j,), got, {j: one}, detail.format(j=j, got=dense)
+            dense = "" if got == {j: one} else ", ".join(str(got.get(i, field.zero())) for i in range(m))
+            yield (j,), got, {j: one}, detail.format(j=j, got=f"[{dense}]")
 
     checks = [law_from_maps("assoc", (m,) * 3, [(mult, 0), (mult, 0)], [(mult, 1), (mult, 0)])]
     checks.append(LawCheck.from_vectors("unit_left", unit_cases("unit * e_{j} = {got}", lambda i, j: i * m + j)))
@@ -206,9 +202,4 @@ def tensor_elem_product(
 
 def opposite_unit_insertion(a: Algebra, v: PointedSpace) -> LinMap:
     """The insertion V -> A (x) V sending each basis vector w to unit (x) w."""
-    field = a.field
-    cols = [kron_vec(field, a.unit, basis_vector(field, v.dim, j)) for j in range(v.dim)]
-    rows = tuple(
-        tuple(cols[j][i] for j in range(v.dim)) for i in range(a.dim * v.dim)
-    )
-    return LinMap(field, (v.dim,), (a.dim, v.dim), rows)
+    return _Wiring((v.dim,), [(_element(a.field, (a.dim,), a.unit), 0)]).to_map()

@@ -18,19 +18,7 @@ from typing import Sequence
 from .algebra import Algebra, PointedSpace, algebra_from_group, check_algebra, tensor_elem_product
 from .crossed import CrossedData, TwistingMapData, twisted_tensor_product
 from .fields import Field, Rationals, Scalar
-from .linmap import (
-    LinMap,
-    MapBuilder,
-    ShapeError,
-    _Wiring,
-    apply,
-    basis_vector,
-    compose,
-    flip,
-    kron_vec,
-    unflatten,
-    vectors_equal,
-)
+from .linmap import LinMap, MapBuilder, ShapeError, _element, _Wiring, apply, flip, kron_vec
 from .twist import TheoremViolationError, TwistPair, trivial_pair
 
 
@@ -64,9 +52,6 @@ class QuasiBialgebra:
     @property
     def field(self) -> Field:
         return self.algebra.field
-
-    def counit_value(self, k: int) -> Scalar:
-        return self.counit.matrix[0][k]
 
 
 @dataclass(frozen=True)
@@ -141,7 +126,7 @@ def quasi_bialgebra_violations(q: QuasiBialgebra) -> list[str]:
     h2_products = [(comult, 0), (comult, 2), (flip(field, m, m), 1), (mult, 2), (mult, 0)]
     if _differ((m, m), [(mult, 0), (comult, 0)], h2_products):
         out.append("comult_algebra_map: comultiplication is not multiplicative")
-    if not vectors_equal(field, apply(comult, q.algebra.unit), kron_vec(field, q.algebra.unit, q.algebra.unit)):
+    if apply(comult, q.algebra.unit) != kron_vec(field, q.algebra.unit, q.algebra.unit):
         out.append("comult_algebra_map: comultiplication does not preserve the unit")
 
     if _differ((m, m), [(mult, 0), (counit, 0)], [(counit, 0), (counit, 1)]):
@@ -154,8 +139,9 @@ def quasi_bialgebra_violations(q: QuasiBialgebra) -> list[str]:
 
     unit3 = kron_vec(field, kron_vec(field, q.algebra.unit, q.algebra.unit), q.algebra.unit)
     if not (
-        vectors_equal(field, _product(q.algebra, 3, q.associator, q.associator_inverse), unit3)
-        and vectors_equal(field, _product(q.algebra, 3, q.associator_inverse, q.associator), unit3)
+        _product(q.algebra, 3, q.associator, q.associator_inverse)
+        == unit3
+        == _product(q.algebra, 3, q.associator_inverse, q.associator)
     ):
         out.append("associator_invertible: associator * inverse != unit")
 
@@ -164,14 +150,14 @@ def quasi_bialgebra_violations(q: QuasiBialgebra) -> list[str]:
     for k in range(m):
         lhs = _product(q.algebra, 3, q.associator, co2_left.column(k))
         rhs = _product(q.algebra, 3, co2_right.column(k), q.associator)
-        if not vectors_equal(field, lhs, rhs):
+        if lhs != rhs:
             out.append(f"quasi_coassociativity: fails on basis element {k}")
             break
 
     unit2 = kron_vec(field, q.algebra.unit, q.algebra.unit)
     for name, elem in (("associator", q.associator), ("associator_inverse", q.associator_inverse)):
         for slot in range(3):
-            if not vectors_equal(field, _on_leg(counit, slot, elem, 3), unit2):
+            if _on_leg(counit, slot, elem, 3) != unit2:
                 out.append(f"associator_counital: counit in slot {slot} of {name} != 1 (x) 1")
     return out
 
@@ -188,7 +174,7 @@ def pentagon_violations(q: QuasiBialgebra) -> list[str]:
         _on_leg(q.comult, 1, phi, 3),
         kron_vec(field, phi, unit),
     )
-    if not vectors_equal(field, lhs, rhs):
+    if lhs != rhs:
         return ["pentagon: the two reassociation paths differ"]
     return []
 
@@ -200,13 +186,10 @@ def gauge_violations(q: QuasiBialgebra, f: GaugeTransformation) -> list[str]:
     if len(f.f) != m * m:
         return [f"gauge_shape: expected length {m * m}, got {len(f.f)}"]
     unit2 = kron_vec(field, q.algebra.unit, q.algebra.unit)
-    if not (
-        vectors_equal(field, _product(q.algebra, 2, f.f, f.f_inverse), unit2)
-        and vectors_equal(field, _product(q.algebra, 2, f.f_inverse, f.f), unit2)
-    ):
+    if not _product(q.algebra, 2, f.f, f.f_inverse) == unit2 == _product(q.algebra, 2, f.f_inverse, f.f):
         out.append("gauge_invertible: F * F^{-1} != 1 (x) 1")
     left, right = (_on_leg(q.counit, slot, f.f, 2) for slot in (0, 1))
-    if not (vectors_equal(field, left, q.algebra.unit) and vectors_equal(field, right, q.algebra.unit)):
+    if not left == right == q.algebra.unit:
         out.append("gauge_counital: a counit contraction of F is not the unit")
     return out
 
@@ -220,20 +203,15 @@ def module_algebra_violations(q: QuasiBialgebra, b: RightModuleAlgebra) -> list[
     if b.acting_dim != m:
         return [f"action_shape: acts on dimension {b.acting_dim}, bialgebra has {m}"]
 
-    for j in range(nb):
-        e_j = basis_vector(field, nb, j)
-        if not vectors_equal(field, apply(b.action, kron_vec(field, e_j, q.algebra.unit)), e_j):
-            out.append(f"action_unital: b_{j} . 1_H != b_{j}")
-            break
-    for k in range(m):
-        got = apply(b.action, kron_vec(field, b.unit, basis_vector(field, m, k)))
-        eps = q.counit_value(k)
-        want = tuple(field.mul(eps, x) for x in b.unit)
-        if not vectors_equal(field, got, want):
-            out.append(f"unit_action: 1_B . h_{k} != counit(h_{k}) 1_B")
-            break
-
     act = b.action
+    unit_h, unit_b = _element(field, (m,), q.algebra.unit), _element(field, (nb,), b.unit)
+    diff = _Wiring((nb,), [(unit_h, 1), (act, 0)]).first_difference([])
+    if diff is not None:
+        out.append("action_unital: b_{j} . 1_H != b_{j}".format(j=diff[0][0]))
+    diff = _Wiring((m,), [(unit_b, 0), (act, 0)]).first_difference([(q.counit, 0), (unit_b, None)])
+    if diff is not None:
+        out.append("unit_action: 1_B . h_{k} != counit(h_{k}) 1_B".format(k=diff[0][0]))
+
     if _differ((nb, m, m), [(act, 0), (act, 0)], [(q.algebra.mult, 1), (act, 0)]):
         out.append("module_law: (b . h) . h' != b . (h h')")
 
@@ -242,46 +220,31 @@ def module_algebra_violations(q: QuasiBialgebra, b: RightModuleAlgebra) -> list[
     if _differ((nb, nb, m), [(b.mult, 0), (act, 0)], split):
         out.append("mult_action_compatible: (b b') . h != (b . h_1)(b' . h_2)")
 
-    reassoc = _leg_action(b, q.associator_inverse, lead=0, legs=3)
-    twisted = [(reassoc, 0), (b.mult, 1), (b.mult, 0)]
+    twisted = _acting(b, q.associator_inverse, lead=0, legs=3) + [(b.mult, 1), (b.mult, 0)]
     if _differ((nb,) * 3, [(b.mult, 0), (b.mult, 0)], twisted):
         out.append("assoc_twisted: (b b') b'' != (b . x1)((b' . x2)(b'' . x3))")
     return out
 
 
-def _leg_action(b: RightModuleAlgebra, elem: Sequence[Scalar], lead: int, legs: int) -> LinMap:
-    """The map B^(x)legs -> H^(x)lead (x) B^(x)legs given by an element x of
-    H^(x)(lead + legs): its last ``legs`` tensor legs act on the B factors one
-    by one, its first ``lead`` legs are kept as H coordinates.
+def _acting(b: RightModuleAlgebra, x: Sequence[Scalar], lead: int, legs: int) -> list:
+    """Steps B^(x)L -> H^(x)lead (x) B^(x)L, L = ``legs``, for an element x
+    of H^(x)(lead + L): its last L tensor legs x_1 .. x_L act on the B legs
+    b_1 .. b_L one by one, its first ``lead`` legs are kept as H legs.
 
-    Indices are row-major, as everywhere; only nonzero coefficients of x and
-    nonzero action entries are visited.
+    x is inserted just before b_L, so that x_L (x) b_L are adjacent and the
+    action, with a flip in front so that it takes its H leg first, joins them
+    at once.  Then, from b_(L-1) down to b_1, each b_i is flipped right past
+    the H legs and x_1 .. x_(i-1), and acts with x_i.  Acting first shrinks
+    the pushed vectors before most flips.
     """
-    field = b.field
-    m, nb = b.acting_dim, b.dim
-    zero = field.zero()
-    acts = {
-        (j, q): [(u, c) for u, c in enumerate(b.action.column(j * m + q)) if c != zero]
-        for j in range(nb)
-        for q in range(m)
-    }
-    block = nb**legs
-    out = MapBuilder(field, (nb,) * legs, (m,) * lead + (nb,) * legs)
-    for flat, coeff in enumerate(elem):
-        if coeff == zero:
-            continue
-        head, tail = divmod(flat, m**legs)
-        terms = [(0, 0, coeff)]  # (domain index, codomain index in B^(x)legs, value)
-        for q in unflatten(tail, (m,) * legs):
-            terms = [
-                (col * nb + j, row * nb + u, field.mul(value, c))
-                for col, row, value in terms
-                for j in range(nb)
-                for u, c in acts[j, q]
-            ]
-        for col, row, value in terms:
-            out.add(head * block + row, col, value)
-    return out.build()
+    field, m, nb = b.field, b.acting_dim, b.dim
+    last = _Wiring((m, nb), [(flip(field, m, nb), 0), (b.action, 0)]).to_map()
+    steps = [(_element(field, (m,) * (lead + legs), x), legs - 1), (last, lead + 2 * legs - 2)]
+    swap = flip(field, nb, m)
+    for i in range(legs - 1, 0, -1):  # legs: b_1 .. b_i, the H legs, x_1 .. x_i, acted legs
+        steps += [(swap, at) for at in range(i - 1, lead + 2 * i - 2)]
+        steps.append((b.action, lead + 2 * i - 2))
+    return steps
 
 
 def _product(alg: Algebra, k: int, *factors: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -311,8 +274,8 @@ def _smash_product_data(h: QuasiBialgebra, b: RightModuleAlgebra) -> CrossedData
     field = h.field
     m, nb = h.algebra.dim, b.dim
     r = _Wiring((nb, m), [(h.comult, 1), (flip(field, nb, m), 0), (b.action, 1)]).to_map()
-    assoc = _leg_action(b, h.associator_inverse, lead=1, legs=2)
-    sigma = _Wiring((nb, nb), [(assoc, 0), (b.mult, 1)]).to_map()
+    steps = _acting(b, h.associator_inverse, lead=1, legs=2) + [(b.mult, 1)]
+    sigma = _Wiring((nb, nb), steps).to_map()
 
     return CrossedData(
         a=h.algebra,
@@ -375,17 +338,18 @@ def _module_algebra_twist(
     hf: QuasiBialgebra, b: RightModuleAlgebra, f: GaugeTransformation
 ) -> RightModuleAlgebra:
     """The twisted B over ``hf``, the Drinfeld twist of H by f."""
-    twisted = replace(b, mult=compose(b.mult, _leg_action(b, f.f, lead=0, legs=2)))
+    steps = _acting(b, f.f, lead=0, legs=2) + [(b.mult, 0)]
+    twisted = replace(b, mult=_Wiring((b.dim, b.dim), steps).to_map())
     _require(module_algebra_violations(hf, twisted), TheoremViolationError, "twisted module algebra fails ")
     return twisted
 
 
 def gauge_twist_pair(b: RightModuleAlgebra, f: GaugeTransformation) -> TwistPair:
     """theta(b) = F1 (x) b . F2 and gamma(b) = G1 (x) b . G2."""
-    m = b.acting_dim
+    m, nb = b.acting_dim, b.dim
     if len(f.f) != m * m:
         raise ShapeError(f"gauge element length {len(f.f)} does not match H dimension {m}")
-    theta, gamma = (_leg_action(b, elem, lead=1, legs=1) for elem in (f.f, f.f_inverse))
+    theta, gamma = (_Wiring((nb,), _acting(b, x, lead=1, legs=1)).to_map() for x in (f.f, f.f_inverse))
     return TwistPair(theta=theta, gamma=gamma)
 
 

@@ -11,8 +11,11 @@ Composites are written as wiring: a list of (map, lead) steps on a tensor
 product with given factor dims (its legs), where step (f, lead) applies f to
 the legs from position ``lead`` on that f's domain covers and leaves the
 other legs alone, so no identity map pads it; lead ``None`` feeds f every
-leg, matched by total.  ``_Wiring`` compiles such a list once and pushes
-sparse vectors {flat index: nonzero} through it.  An entry equal to one is
+leg, matched by total.  An element is a map on no legs: its step inserts the
+element's legs at ``lead``, so an element acting on other legs (the unit
+insertion, the associator acting on B one leg at a time) is a wiring too.
+``_Wiring`` compiles such a list once and pushes sparse vectors
+{flat index: nonzero} through it.  An entry equal to one is
 compiled as a marker that adds the incoming coefficient without a product
 (flips, identities and group-algebra products are 0/1 maps).  A map is built
 by pushing each basis column, and two wirings are compared column by column,
@@ -119,13 +122,21 @@ def _sparse(field: Field, v: Sequence[Scalar]) -> dict[int, Scalar]:
     return {i: x for i, x in enumerate(map(field.check, v)) if x}
 
 
+def _element(field: Field, dims: Sequence[int], x: Sequence[Scalar]) -> LinMap:
+    """An element x of the tensor product with factor dims ``dims`` as a map on
+    no legs, so that step (x, lead) inserts x's legs at position ``lead``."""
+    return LinMap(field, (), dims, tuple((c,) for c in x))
+
+
 class _Wiring:
     """(map, lead) steps compiled on a tensor product with factor dims ``legs``.
 
     Step (f, lead) applies f to the len(f.domain_dims) legs from position
-    ``lead``, whose dims must be f's domain dims; step (f, None) applies f to
-    all legs, matched by total only.  ``dims`` are the legs after the last
-    step.  All maps must be over ``field`` (by default the first map's).
+    ``lead``, whose dims must be f's domain dims, with 0 <= lead <= the number
+    of legs at that step; an element (a map on no legs, see ``_element``) is
+    inserted at ``lead``.  Step (f, None) applies f to all legs, matched by
+    total only.  ``dims`` are the legs after the last step.  All maps must be
+    over ``field`` (by default the first map's).
     """
 
     def __init__(self, legs: Sequence[int], steps, field: Field | None = None):
@@ -139,7 +150,7 @@ class _Wiring:
             k = len(f.domain_dims)
             if lead is None and f.domain_total == _total(dims):
                 lead, k = 0, len(dims)
-            elif lead is None or dims[lead : lead + k] != f.domain_dims:
+            elif lead is None or not 0 <= lead <= len(dims) or dims[lead : lead + k] != f.domain_dims:
                 raise ShapeError(f"a map on {f.domain_dims} does not fit legs {dims} at {lead}")
             right = _total(dims[lead + k :])
             cols = [[] for _ in range(f.domain_total)]  # (row offset, entry or None for one)
@@ -319,12 +330,6 @@ def basis_vector(field: Field, n: int, i: int) -> tuple[Scalar, ...]:
 def kron_vec(field: Field, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Coordinates of u (x) v in the row-major product basis."""
     return tuple(field.mul(field.check(a), field.check(b)) for a in u for b in v)
-
-
-def vectors_equal(field: Field, u: Sequence[Scalar], v: Sequence[Scalar]) -> bool:
-    if len(u) != len(v):
-        raise ShapeError(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return all(field.check(a) == field.check(b) for a, b in zip(u, v))
 
 
 def random_matrix_map(

@@ -1,9 +1,10 @@
 """Independent brute-force oracles: plain nested loops over structure constants,
 sharing no code with the composite-based kernel routines they cross-check.
 
-Also the dense forms of the product kernels and of the law scan (every entry
-visited, zeros included), kept as the reference the wiring kernel is tested
-against, and small helpers that only tests use."""
+Also the dense forms of the product kernels, of an element acting on B legs
+and of the law scan (every entry visited, zeros included), kept as the
+reference the wiring kernel is tested against, and small helpers that only
+tests use."""
 
 from crosstwist import (
     Algebra,
@@ -47,6 +48,12 @@ def flat_index(multi_index, dims) -> int:
 def basis_product(a, i: int, j: int):
     """The product e_i e_j of two basis elements of the algebra ``a``."""
     return a.mult.column(i * a.dim + j)
+
+
+def algebra_product(a, u, v):
+    """The product uv of two coordinate vectors of the algebra ``a``, as the
+    dense matrix-vector product of its multiplication with u (x) v."""
+    return naive_apply(a.mult, kron_vec(a.field, u, v))
 
 
 def zero_map(field, domain_dims, codomain_dims) -> LinMap:
@@ -175,6 +182,39 @@ def dense_tensor_elem_product(a, k: int, u, v):
                 flat = flat_index(idx, dims)
                 out[flat] = field.add(out[flat], coeff)
     return tuple(out)
+
+
+def dense_leg_action(b, elem, lead: int, legs: int) -> LinMap:
+    """The map B^(x)legs -> H^(x)lead (x) B^(x)legs given by an element x of
+    H^(x)(lead + legs) over the right module algebra ``b``: its last ``legs``
+    tensor legs act on the B factors one by one, its first ``lead`` legs are
+    kept as H coordinates.  Each nonzero coefficient of x is expanded into
+    terms, one leg of x at a time."""
+    field = b.field
+    m, nb = b.acting_dim, b.dim
+    zero = field.zero()
+    acts = {
+        (j, q): [(u, c) for u, c in enumerate(b.action.column(j * m + q)) if c != zero]
+        for j in range(nb)
+        for q in range(m)
+    }
+    block = nb**legs
+    out = MapBuilder(field, (nb,) * legs, (m,) * lead + (nb,) * legs)
+    for flat, coeff in enumerate(elem):
+        if coeff == zero:
+            continue
+        head, tail = divmod(flat, m**legs)
+        terms = [(0, 0, coeff)]  # (domain index, codomain index in B^(x)legs, value)
+        for q in unflatten(tail, (m,) * legs):
+            terms = [
+                (col * nb + j, row * nb + u, field.mul(value, c))
+                for col, row, value in terms
+                for j in range(nb)
+                for u, c in acts[j, q]
+            ]
+        for col, row, value in terms:
+            out.add(head * block + row, col, value)
+    return out.build()
 
 
 def naive_matmul(f: LinMap, g: LinMap) -> LinMap:

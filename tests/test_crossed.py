@@ -20,6 +20,7 @@ from crosstwist import (
 )
 from crosstwist.crossed import with_r, with_sigma
 from oracles import (
+    algebra_product,
     basis_product,
     smash_formula_product,
     sweedler_crossed_product,
@@ -141,7 +142,8 @@ class TestBuildCrossedProduct:
             for i in range(m):
                 for k in range(m):
                     for el in range(n):
-                        lhs = product.product(
+                        lhs = algebra_product(
+                            product,
                             kron_vec(F, basis_vector(F, m, i), data.v.point),
                             kron_vec(F, basis_vector(F, m, k), basis_vector(F, n, el)),
                         )

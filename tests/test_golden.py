@@ -87,16 +87,16 @@ REPORT_DIGESTS = {
     "GF5/gauge-v4/inputs": "badbd03f6af048f8c06555cd334a3f2930b838a2f4ae540ecd61a7efd66a70c0",
     "GF5/smash-v4-twisted/sweep": "9411645b3194ea7911a7e1d38a00067b8a9be4403872facf3ce4ba1016115177",
     "GF5/smash-v4-twisted/inputs": "26d654736c7c74596eb3d2df9c34b840e02e29401bf684ddea192fc724b0b958",
-    "Q/ttp-flip-c2/sweep": "cd0ff1985e3198c4cebe8e02ec64886f9a85ea8767713c9da836e40476c078b7",
+    "Q/ttp-flip-c2/sweep": "7c51aa87ff1219b110e50ea9c194710fd5418981c19d208002e8aa3b9573d3ad",
     "Q/ttp-flip-c2/inputs": "4c677a1039e6e5510d516f2546f7f665d46d694eb820e44769f49650fa0bae4b",
-    "Q/smash-sign-c2/sweep": "15a6273497435d8b00e44c639486d6dfbd18851f2cda41a2ecb7e2f5803b085d",
-    "Q/gauge-c2/sweep": "15a6273497435d8b00e44c639486d6dfbd18851f2cda41a2ecb7e2f5803b085d",
+    "Q/smash-sign-c2/sweep": "9825490aeb2e2264820b72163449f86301f887f79d84313b721bed88907d226e",
+    "Q/gauge-c2/sweep": "9825490aeb2e2264820b72163449f86301f887f79d84313b721bed88907d226e",
     "Q/gauge-c2/inputs": "97b364f789da5990d9f665f24184725a633eac040271e2851a9975b82897b03a",
-    "Q/ttp-star-c2/sweep": "15a6273497435d8b00e44c639486d6dfbd18851f2cda41a2ecb7e2f5803b085d",
+    "Q/ttp-star-c2/sweep": "9825490aeb2e2264820b72163449f86301f887f79d84313b721bed88907d226e",
     "Q/ttp-star-c2/inputs": "2f85bb2fe1ffc479aa203622729d441b7bf8565198e2431fde5e43e579b0ad29",
-    "Q/gauge-v4/sweep": "54392b511bb9ef5050d014ab002ab31de10e99b83759a6f761a306c95278a33c",
+    "Q/gauge-v4/sweep": "ea8c3a4856795106ec2d7316118c8bf7530d89cf2808efa9001f84b61c15f3cf",
     "Q/gauge-v4/inputs": "4a23ac783a8d7207c4b6905b21a42c12523a5f338e45edbe64fe9073fb7a22c8",
-    "Q/smash-v4-twisted/sweep": "eec2194edd8024382947fe1b10f0dc6646db1d4038ed850acfd6eae98cd7d8de",
+    "Q/smash-v4-twisted/sweep": "11f19642f0065c82cef31b34f76883cdf0220126e1ce9a2adb87b5c553baec6a",
     "Q/smash-v4-twisted/inputs": "d3ecaf71cb72b5277fbcd37ca6ec6675cc219c63510adcadbd3d8f3b8c8474fe",
 }
 
@@ -348,7 +348,7 @@ def _seeded_reports(field, seed):
 
 SEEDED_REPORT_DIGESTS = {
     "GF5": "6c461cc35d536ed71cb6e3ee31ee454a2da946cb6b03acf7fcdf195adfc4790a",
-    "Q": "5a8275286de642f4bbe939d8e3a865a8520a2a23a62f920a7777657e91d7d479",
+    "Q": "7d228afff551f8943907c92ddbc28d347bf27408986565bf385ba0e9f36e1df3",
 }
 
 

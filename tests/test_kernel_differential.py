@@ -5,9 +5,11 @@ including 1-dimensional factors, at a sparsity from all-zero to all-nonzero,
 with some whole rows and columns forced to zero.  The kernels must agree
 with the dense oracles entry for entry, keep the factor dims, and hold only
 canonical scalars, so the maps they build without revalidation would pass
-``LinMap.__post_init__`` unchanged.  Wirings of (map, lead) steps are checked
-against the identity-padded chain of dense products, and the column-by-column
-law scan against the dense scan of both full composites.  Products in tensor
+``LinMap.__post_init__`` unchanged.  Wirings of (map, lead) steps, elements
+inserted as maps on no legs among them, are checked against the
+identity-padded chain of dense products, the steps of an element acting on B
+legs against the dense expansion of its terms, and the column-by-column law
+scan against the dense scan of both full composites.  Products in tensor
 powers (up to four legs) also draw single-nonzero factors and factors whose
 terms cancel, and a counting field pins how many multiplications the
 leg-split product and a push through a 0/1 map make.
@@ -25,6 +27,7 @@ from crosstwist import (
     LinMap,
     PrimeField,
     Rationals,
+    RightModuleAlgebra,
     ShapeError,
     algebra_from_group,
     apply,
@@ -36,11 +39,13 @@ from crosstwist import (
     tensor_elem_product,
     tensor_map,
 )
-from crosstwist.linmap import _Wiring
+from crosstwist.corpus import _acting
+from crosstwist.linmap import _element, _Wiring
 from crosstwist.report import law_from_maps
 from oracles import (
     dense_compose,
     dense_first_difference,
+    dense_leg_action,
     dense_tensor_elem_product,
     dense_tensor_map,
     naive_apply,
@@ -87,8 +92,8 @@ def scalars(draw, field, count):
 
 @st.composite
 def linmaps(draw, field, domain_dims=None, codomain_dims=None):
-    domain_dims = tuple(domain_dims or draw(factor_dims))
-    codomain_dims = tuple(codomain_dims or draw(factor_dims))
+    domain_dims = tuple(draw(factor_dims) if domain_dims is None else domain_dims)
+    codomain_dims = tuple(draw(factor_dims) if codomain_dims is None else codomain_dims)
     dt, ct = prod(domain_dims), prod(codomain_dims)
     flat = draw(scalars(field, dt * ct))
     rows = [flat[i * dt:(i + 1) * dt] for i in range(ct)]
@@ -201,11 +206,19 @@ def test_apply_matches_dense_oracle(case):
 @st.composite
 def wirings(draw, field, legs):
     """(steps, dense chain): up to four (map, lead) steps on ``legs``, each on
-    one or two adjacent legs or, with lead None, on all of them by total, and
-    the composite of the same maps padded with identities by dense products."""
+    one or two adjacent legs or, with lead None, on all of them by total, or an
+    element (a map on no legs) inserted at any lead from 0 to the number of
+    legs, or with lead None in place of legs of total 1; and the composite of
+    the same maps padded with identities by dense products."""
     dims, steps, chain = tuple(legs), [], None
     for _ in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()) and prod(dims) <= 12:
+        kind = draw(st.sampled_from(("all", "some", "element")))
+        if kind == "element":
+            k, domain = 0, ()
+            lead = None if prod(dims) == 1 and draw(st.booleans()) else draw(st.integers(0, len(dims)))
+            if lead is None:
+                k = len(dims)
+        elif kind == "all" and prod(dims) <= 12:
             lead, k = None, len(dims)
             domain = (prod(dims),)
         else:
@@ -300,6 +313,48 @@ def test_lazy_scan_matches_dense_scan(case):
         assert all(is_canonical(dense_lhs.field, x) for x in (a, b))
         assert check.first_counterexample == col
         assert check.detail == f"lhs[{row}] = {a}, rhs[{row}] = {b} on basis input {col}"
+
+
+@st.composite
+def leg_actions(draw):
+    """A right module algebra B over H, lead 0..1, legs 1..3 and an element x of
+    H^(x)(lead + legs) that is all-zero, single-nonzero or dense."""
+    field = draw(st.sampled_from(FIELDS))
+    lead, legs = draw(st.integers(0, 1)), draw(st.integers(1, 3))
+    top = 3 if lead + legs <= 2 else 2
+    m, nb = draw(st.integers(1, top)), draw(st.integers(1, top))
+    b = RightModuleAlgebra(
+        dim=nb,
+        mult=draw(linmaps(field, (nb, nb), (nb,))),
+        unit=tuple(draw(scalars(field, nb))),
+        action=draw(linmaps(field, (nb, m), (nb,))),
+    )
+    return b, draw(elements(field, m ** (lead + legs))), lead, legs
+
+
+@SETTINGS
+@given(leg_actions())
+def test_acting_steps_match_dense_leg_action(case):
+    b, x, lead, legs = case
+    got = _Wiring((b.dim,) * legs, _acting(b, x, lead, legs)).to_map()
+    assert_same(got, dense_leg_action(b, x, lead, legs))
+
+
+def test_leads_outside_the_legs_are_refused():
+    field = FIELDS[0]
+    x = _element(field, (2,), (field.one(), field.from_int(3)))
+    assert _Wiring((3,), [(x, 0)]).dims == (2, 3)
+    assert _Wiring((3,), [(x, 1)]).dims == (3, 2)
+    one_leg = identity(field, (3,))
+    for legs, steps in (
+        ((3,), [(x, 7)]),
+        ((3,), [(x, 2)]),
+        ((3,), [(x, -1)]),
+        ((2, 3, 3), [(one_leg, -2)]),
+        ((3,), [(x, 0), (x, 3)]),
+    ):
+        with pytest.raises(ShapeError, match="does not fit"):
+            _Wiring(legs, steps)
 
 
 def test_steps_over_different_fields_are_refused():
