@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import Field, Scalar
-from .linmap import LinMap, ShapeError, _element, _sparse, _Wiring, basis_vector
+from .linmap import LinMap, ShapeError, _columns, _element, _from_columns, _sparse, _Wiring, basis_vector
 from .report import AxiomReport, LawCheck, law_from_maps
 
 
@@ -130,41 +130,31 @@ def algebra_from_group(
     for i in range(n):
         if e not in table[i]:
             raise GroupTableError(f"inverses: element {i} has no right inverse")
-    one, zero = field.one(), field.zero()
-    rows = []
-    for k in range(n):
-        row = [zero] * (n * n)
-        for i in range(n):
-            for j in range(n):
-                if table[i][j] == k:
-                    row[i * n + j] = one
-        rows.append(tuple(row))
-    mult = LinMap(field, (n, n), (n,), tuple(rows))
+    one = field.one()
+    mult = _from_columns(field, (n, n), (n,), [{k: one} for row in table for k in row])
     return Algebra(n, mult, basis_vector(field, n, e), label=label)
 
 
 def tensor_elem_product(
-    a: Algebra, k: int, u: Sequence[Scalar], v: Sequence[Scalar]
+    a: Algebra, k: int, u: Sequence[Scalar], v: Sequence[Scalar], *more: Sequence[Scalar]
 ) -> tuple[Scalar, ...]:
-    """Product of two elements of the k-fold tensor power algebra of ``a``.
+    """Product u v ... of two or more elements of the k-fold tensor power algebra
+    of ``a``, bracketed from the right: u (v (w ...)).
 
     Splits on the first leg: u = sum e_i (x) u_i and v = sum e_j (x) v_j give
     uv = sum (e_i e_j) (x) (u_i v_j), so each pair of nonzero scalars is multiplied
     once, on the last leg, and a structure constant other than one scales a partial sum.
+    Each partial product stays a sparse vector.
     """
     field, m = a.field, a.dim
     total = m**k
     if k < 1:
         raise ShapeError(f"tensor powers start at k = 1, got k = {k}")
-    if len(u) != total or len(v) != total:
+    factors = (u, v) + more
+    if any(len(x) != total for x in factors):
         raise ShapeError(f"expected vectors of length {total} in the {k}-fold power")
-    add, mul, one, zero = field.add, field.mul, field.one(), field.zero()
-    # table[i*m + j]: the nonzero (w, c) with e_i e_j = sum of c e_w, c None for one
-    table = [[] for _ in range(m * m)]
-    for w, row in enumerate(a.mult.matrix):
-        for col, c in enumerate(row):
-            if c:
-                table[col].append((w, None if c == one else c))
+    add, mul, zero = field.add, field.mul, field.zero()
+    table = _columns(a.mult)  # table[i*m + j]: the nonzero (w, c) with e_i e_j = sum of c e_w
 
     def split(x, n):
         """Sparse x on n legs as {i: x_i} with x = sum e_i (x) x_i, each x_i split again."""
@@ -196,7 +186,9 @@ def tensor_elem_product(
                             out[z] = add(out[z], q) if z in out else q
         return {z: s for z, s in out.items() if s}
 
-    got = product(split(_sparse(field, u), k), split(_sparse(field, v), k), k)
+    got = _sparse(field, factors[-1])
+    for x in reversed(factors[:-1]):
+        got = product(split(_sparse(field, x), k), split(got, k), k)
     return tuple(got.get(z, zero) for z in range(total))
 
 

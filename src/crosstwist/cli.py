@@ -54,7 +54,7 @@ def _load_document(args) -> SpecDocument:
         raise DocumentError("$", "missing --input")
     text = Path(args.input).read_text(encoding="utf-8")
     doc = parse(text)
-    if getattr(args, "field", None) is not None and doc.field != args.field:
+    if args.field is not None and doc.field != args.field:
         raise DocumentError(
             "$.field",
             f"document field {doc.field.describe()} does not match requested "
@@ -292,42 +292,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Validate, build, and twist crossed products of algebras with exact arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("--input", help="path to a document")
-        p.add_argument("--object", help="name of the object to act on")
-        p.add_argument("--output", help="write the resulting document to this path")
-        p.add_argument("--report", choices=["json", "text"], default="text")
-        p.add_argument(
-            "--field",
-            type=_parse_field_flag,
-            default=None,
-            help="rationals or gf:<p>; must match the document's field",
-        )
-
-    p = sub.add_parser("validate", help="run the axiom checks for stored objects")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("build", help="build the crossed-product algebra from stored data")
-    common(p)
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("twist", help="apply a twist pair and certify the isomorphism")
-    common(p)
-    p.add_argument("--pair", default="pair", help="name of the twist_pair object")
-    p.set_defaults(func=cmd_twist)
-
-    p = sub.add_parser("verify-iso", help="re-check a stored twist result")
-    common(p)
-    p.set_defaults(func=cmd_verify_iso)
-
-    p = sub.add_parser("corpus", help="list or emit the builtin instances")
-    common(p, with_input=False)
-    p.add_argument("--emit", help="1-based index or name of the instance to emit")
-    p.set_defaults(func=cmd_corpus)
-
+    flags = {
+        "input": dict(help="path to a document"),
+        "object": dict(help="name of the object to act on"),
+        "output": dict(help="write the resulting document to this path"),
+        "report": dict(choices=["json", "text"], default="text"),
+        "field": dict(type=_parse_field_flag, help="rationals or gf:<p>; must match the document's field"),
+        "pair": dict(default="pair", help="name of the twist_pair object"),
+        "emit": dict(help="1-based index or name of the instance to emit"),
+    }
+    # each command takes exactly the flags it reads, and every one reads --field
+    commands = (
+        ("validate", cmd_validate, "run the axiom checks for stored objects", "input object report"),
+        ("build", cmd_build, "build the crossed-product algebra from stored data", "input object output report"),
+        ("twist", cmd_twist, "apply a twist pair and certify the isomorphism", "input object output report pair"),
+        ("verify-iso", cmd_verify_iso, "re-check a stored twist result", "input report"),
+        ("corpus", cmd_corpus, "list or emit the builtin instances", "output emit"),
+    )
+    for name, func, help_text, names in commands:
+        p = sub.add_parser(name, help=help_text)
+        for flag in names.split() + ["field"]:
+            p.add_argument(f"--{flag}", **flags[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -18,7 +18,7 @@ from typing import Sequence
 from .algebra import Algebra, PointedSpace, algebra_from_group, check_algebra, tensor_elem_product
 from .crossed import CrossedData, TwistingMapData, twisted_tensor_product
 from .fields import Field, Rationals, Scalar
-from .linmap import LinMap, MapBuilder, ShapeError, _element, _Wiring, apply, flip, kron_vec
+from .linmap import LinMap, MapBuilder, ShapeError, _element, _from_columns, _Wiring, apply, flip, kron_vec
 from .twist import TheoremViolationError, TwistPair, trivial_pair
 
 
@@ -139,17 +139,17 @@ def quasi_bialgebra_violations(q: QuasiBialgebra) -> list[str]:
 
     unit3 = kron_vec(field, kron_vec(field, q.algebra.unit, q.algebra.unit), q.algebra.unit)
     if not (
-        _product(q.algebra, 3, q.associator, q.associator_inverse)
+        tensor_elem_product(q.algebra, 3, q.associator, q.associator_inverse)
         == unit3
-        == _product(q.algebra, 3, q.associator_inverse, q.associator)
+        == tensor_elem_product(q.algebra, 3, q.associator_inverse, q.associator)
     ):
         out.append("associator_invertible: associator * inverse != unit")
 
     co2_left = _Wiring((m,), [(comult, 0), (comult, 0)]).to_map()
     co2_right = _Wiring((m,), [(comult, 0), (comult, 1)]).to_map()
     for k in range(m):
-        lhs = _product(q.algebra, 3, q.associator, co2_left.column(k))
-        rhs = _product(q.algebra, 3, co2_right.column(k), q.associator)
+        lhs = tensor_elem_product(q.algebra, 3, q.associator, co2_left.column(k))
+        rhs = tensor_elem_product(q.algebra, 3, co2_right.column(k), q.associator)
         if lhs != rhs:
             out.append(f"quasi_coassociativity: fails on basis element {k}")
             break
@@ -166,8 +166,8 @@ def pentagon_violations(q: QuasiBialgebra) -> list[str]:
     """The pentagon law, reported separately from the core laws."""
     field = q.field
     phi, unit = q.associator, q.algebra.unit
-    lhs = _product(q.algebra, 4, _on_leg(q.comult, 2, phi, 3), _on_leg(q.comult, 0, phi, 3))
-    rhs = _product(
+    lhs = tensor_elem_product(q.algebra, 4, _on_leg(q.comult, 2, phi, 3), _on_leg(q.comult, 0, phi, 3))
+    rhs = tensor_elem_product(
         q.algebra,
         4,
         kron_vec(field, unit, phi),
@@ -186,7 +186,11 @@ def gauge_violations(q: QuasiBialgebra, f: GaugeTransformation) -> list[str]:
     if len(f.f) != m * m:
         return [f"gauge_shape: expected length {m * m}, got {len(f.f)}"]
     unit2 = kron_vec(field, q.algebra.unit, q.algebra.unit)
-    if not _product(q.algebra, 2, f.f, f.f_inverse) == unit2 == _product(q.algebra, 2, f.f_inverse, f.f):
+    if not (
+        tensor_elem_product(q.algebra, 2, f.f, f.f_inverse)
+        == unit2
+        == tensor_elem_product(q.algebra, 2, f.f_inverse, f.f)
+    ):
         out.append("gauge_invertible: F * F^{-1} != 1 (x) 1")
     left, right = (_on_leg(q.counit, slot, f.f, 2) for slot in (0, 1))
     if not left == right == q.algebra.unit:
@@ -240,20 +244,11 @@ def _acting(b: RightModuleAlgebra, x: Sequence[Scalar], lead: int, legs: int) ->
     field, m, nb = b.field, b.acting_dim, b.dim
     last = _Wiring((m, nb), [(flip(field, m, nb), 0), (b.action, 0)]).to_map()
     steps = [(_element(field, (m,) * (lead + legs), x), legs - 1), (last, lead + 2 * legs - 2)]
-    swap = flip(field, nb, m)
+    swap = flip(field, nb, m) if lead + legs > 2 else None  # no flip step below otherwise
     for i in range(legs - 1, 0, -1):  # legs: b_1 .. b_i, the H legs, x_1 .. x_i, acted legs
         steps += [(swap, at) for at in range(i - 1, lead + 2 * i - 2)]
         steps.append((b.action, lead + 2 * i - 2))
     return steps
-
-
-def _product(alg: Algebra, k: int, *factors: Sequence[Scalar]) -> tuple[Scalar, ...]:
-    """Product of elements of the k-fold tensor power of ``alg``, bracketed
-    from the right: u (v (w ...))."""
-    out = factors[-1]
-    for u in reversed(factors[:-1]):
-        out = tensor_elem_product(alg, k, u, out)
-    return out
 
 
 def _require(violations: list[str], error: type[Exception], prefix: str) -> None:
@@ -297,10 +292,9 @@ def _drinfeld_twist(h: QuasiBialgebra, f: GaugeTransformation) -> QuasiBialgebra
     alg = h.algebra
     field, m = alg.field, alg.dim
 
-    cols = [_product(alg, 2, f.f, h.comult.column(k), f.f_inverse) for k in range(m)]
-    rows = tuple(tuple(cols[k][i] for k in range(m)) for i in range(m * m))
-    comult_f = LinMap(field, (m,), (m, m), rows)
-    phi_f = _product(
+    cols = (tensor_elem_product(alg, 2, f.f, h.comult.column(k), f.f_inverse) for k in range(m))
+    comult_f = _from_columns(field, (m,), (m, m), [{i: x for i, x in enumerate(c) if x} for c in cols])
+    phi_f = tensor_elem_product(
         alg,
         3,
         kron_vec(field, alg.unit, f.f),
@@ -309,7 +303,7 @@ def _drinfeld_twist(h: QuasiBialgebra, f: GaugeTransformation) -> QuasiBialgebra
         _on_leg(h.comult, 0, f.f_inverse, 2),
         kron_vec(field, f.f_inverse, alg.unit),
     )
-    phi_f_inv = _product(
+    phi_f_inv = tensor_elem_product(
         alg,
         3,
         kron_vec(field, f.f, alg.unit),
@@ -355,15 +349,9 @@ def gauge_twist_pair(b: RightModuleAlgebra, f: GaugeTransformation) -> TwistPair
 
 def group_like_bialgebra(alg: Algebra, label: str = "") -> QuasiBialgebra:
     """Group algebra viewed as a quasi-bialgebra with trivial associator."""
-    field = alg.field
-    m = alg.dim
-    one, zero = field.one(), field.zero()
-    comult_rows = []
-    for i in range(m):
-        for j in range(m):
-            comult_rows.append(tuple(one if (i == k == j) else zero for k in range(m)))
-    comult = LinMap(field, (m,), (m, m), tuple(comult_rows))
-    counit = LinMap(field, (m,), (1,), ((one,) * m,))
+    field, m, one = alg.field, alg.dim, alg.field.one()
+    comult = _from_columns(field, (m,), (m, m), [{k * m + k: one} for k in range(m)])
+    counit = _from_columns(field, (m,), (1,), [{0: one} for _ in range(m)])
     unit3 = kron_vec(field, kron_vec(field, alg.unit, alg.unit), alg.unit)
     return QuasiBialgebra(
         algebra=alg,

@@ -1,11 +1,19 @@
 """Basis-indexed linear maps between tensor products of finite-dimensional spaces.
 
-A ``LinMap`` is a dense matrix over an exact field together with the factor
+A ``LinMap`` is an exact matrix over a field together with the factor
 dimensions of its domain and codomain.  The basis of a tensor product is
 indexed row-major and left-associated: the pair (i, j) with 0 <= i < dim X,
 0 <= j < dim Y maps to flat index i*dim(Y) + j, and longer factor lists
 extend the same rule to the left.  With that convention the tensor product
 of maps is the Kronecker product of their matrices.
+
+The matrix is stored as dense row-major rows, and only this module knows it.
+Every map the program builds comes from sparse columns through
+``_from_columns``, and every reader of nonzeros goes through ``_columns``,
+which gives each column's nonzeros as (row, entry) with ``None`` for an
+entry equal to one.  The public constructor, ``matrix``, ``entry``,
+``column``, ``invert`` and ``random_matrix_map`` (and ``io``, ``_element``)
+are the dense boundary.
 
 Composites are written as wiring: a list of (map, lead) steps on a tensor
 product with given factor dims (its legs), where step (f, lead) applies f to
@@ -14,18 +22,19 @@ other legs alone, so no identity map pads it; lead ``None`` feeds f every
 leg, matched by total.  An element is a map on no legs: its step inserts the
 element's legs at ``lead``, so an element acting on other legs (the unit
 insertion, the associator acting on B one leg at a time) is a wiring too.
-``_Wiring`` compiles such a list once and pushes sparse vectors
-{flat index: nonzero} through it.  An entry equal to one is
-compiled as a marker that adds the incoming coefficient without a product
-(flips, identities and group-algebra products are 0/1 maps).  A map is built
-by pushing each basis column, and two wirings are compared column by column,
-stopping at the first differing column.  ``compose``, ``tensor_map`` and
-``first_difference`` are single wirings.  ``algebra.tensor_elem_product``
-splits on the first leg instead, so that u (x) v is never built.
+``_Wiring`` compiles such a list once from ``_columns`` and pushes sparse
+vectors {flat index: nonzero} through it.  An entry equal to one adds the
+incoming coefficient without a product (flips, identities and group-algebra
+products are 0/1 maps).  A map is built by pushing each basis column, and
+two wirings are compared column by column, stopping at the first differing
+column.  ``compose``, ``tensor_map`` and ``first_difference`` are single
+wirings.  ``algebra.tensor_elem_product`` splits on the first leg instead,
+so that u (x) v is never built.
 
 All values are immutable after construction and every operation is a pure
-function.  Entries are validated when a map is constructed; the maps built
-here hold entries that are already canonical and skip that check.
+function.  Entries are validated when a map is constructed through
+``LinMap(...)``; maps built from field constants or from products of checked
+maps hold canonical entries and skip that check.
 """
 
 from __future__ import annotations
@@ -117,6 +126,29 @@ class LinMap:
         return tuple(row[col] for row in self.matrix)
 
 
+def _from_columns(field: Field, domain_dims, codomain_dims, cols) -> LinMap:
+    """A map from sparse columns {row: canonical nonzero}, one per domain basis
+    vector in flat order, without revalidation."""
+    zero, n = field.zero(), _total(domain_dims)
+    rows = [[zero] * n for _ in range(_total(codomain_dims))]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    return LinMap._trusted(field, domain_dims, codomain_dims, tuple(map(tuple, rows)))
+
+
+def _columns(f: LinMap, stride: int = 1) -> list[list[tuple[int, Scalar | None]]]:
+    """Each column's nonzeros as (row * stride, entry), in ascending row order,
+    with entry None for an entry equal to one."""
+    one = f.field.one()
+    cols = [[] for _ in range(f.domain_total)]
+    for i, row in enumerate(f.matrix):
+        for j, a in enumerate(row):
+            if a:
+                cols[j].append((i * stride, None if a == one else a))
+    return cols
+
+
 def _sparse(field: Field, v: Sequence[Scalar]) -> dict[int, Scalar]:
     """The nonzero entries {index: entry} of a vector, each checked against the field."""
     return {i: x for i, x in enumerate(map(field.check, v)) if x}
@@ -142,7 +174,6 @@ class _Wiring:
     def __init__(self, legs: Sequence[int], steps, field: Field | None = None):
         self.legs = dims = tuple(legs)
         self.field = field if field is not None else steps[0][0].field
-        one = self.field.one()
         self._compiled = []
         for f, lead in steps:
             if f.field != self.field:
@@ -153,11 +184,7 @@ class _Wiring:
             elif lead is None or not 0 <= lead <= len(dims) or dims[lead : lead + k] != f.domain_dims:
                 raise ShapeError(f"a map on {f.domain_dims} does not fit legs {dims} at {lead}")
             right = _total(dims[lead + k :])
-            cols = [[] for _ in range(f.domain_total)]  # (row offset, entry or None for one)
-            for i, row in enumerate(f.matrix):
-                for j, a in enumerate(row):
-                    if a:
-                        cols[j].append((i * right, None if a == one else a))
+            cols = _columns(f, right)  # row offsets in the flat index over the legs from lead on
             self._compiled.append((f.domain_total * right, right, f.codomain_total * right, cols))
             dims = dims[:lead] + f.codomain_dims + dims[lead + k :]
         self.dims = dims
@@ -189,13 +216,9 @@ class _Wiring:
 
     def to_map(self) -> LinMap:
         """The composite as a map, one pushed basis column at a time."""
-        zero, one = self.field.zero(), self.field.one()
-        n = _total(self.legs)
-        rows = [[zero] * n for _ in range(_total(self.dims))]
-        for j in range(n):
-            for i, x in self.push({j: one}).items():
-                rows[i][j] = x
-        return LinMap._trusted(self.field, self.legs, self.dims, tuple(tuple(r) for r in rows))
+        one = self.field.one()
+        cols = (self.push({j: one}) for j in range(_total(self.legs)))
+        return _from_columns(self.field, self.legs, self.dims, cols)
 
     def first_difference(self, steps):
         """First (domain multi-index, codomain multi-index, lhs, rhs) where this
@@ -216,36 +239,27 @@ class _Wiring:
 
 
 def identity(field: Field, dims: Sequence[int]) -> LinMap:
-    dims = tuple(dims)
-    n = _total(dims)
-    one, zero = field.one(), field.zero()
-    rows = tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-    return LinMap(field, dims, dims, rows)
+    one = field.one()
+    return _from_columns(field, dims, dims, [{j: one} for j in range(_total(dims))])
 
 
 class MapBuilder:
-    """Accumulates matrix entries for maps assembled by explicit index loops."""
+    """Accumulates matrix entries for maps assembled by explicit index loops;
+    each value is checked against the field as it is added."""
 
     def __init__(self, field: Field, domain_dims: Sequence[int], codomain_dims: Sequence[int]):
         self.field = field
         self.domain_dims = tuple(domain_dims)
         self.codomain_dims = tuple(codomain_dims)
-        self._rows = [
-            [field.zero()] * _total(domain_dims) for _ in range(_total(codomain_dims))
-        ]
+        self._cols = [{} for _ in range(_total(self.domain_dims))]
 
     def add(self, row: int, col: int, value: Scalar) -> None:
-        self._rows[row][col] = self.field.add(self._rows[row][col], value)
+        column, value = self._cols[col], self.field.check(value)
+        column[row] = self.field.add(column[row], value) if row in column else value
 
     def build(self) -> LinMap:
-        return LinMap(
-            self.field,
-            self.domain_dims,
-            self.codomain_dims,
-            tuple(tuple(r) for r in self._rows),
-        )
+        cols = [{i: x for i, x in c.items() if x} for c in self._cols]
+        return _from_columns(self.field, self.domain_dims, self.codomain_dims, cols)
 
 
 def compose(f: LinMap, g: LinMap) -> LinMap:
@@ -285,14 +299,9 @@ def reshape(f: LinMap, domain_dims: Sequence[int], codomain_dims: Sequence[int])
 
 def flip(field: Field, dim_x: int, dim_y: int) -> LinMap:
     """The swap X (x) Y -> Y (x) X on basis vectors."""
-    one, zero = field.one(), field.zero()
-    rows = []
-    for q in range(dim_y):
-        for p in range(dim_x):
-            row = [zero] * (dim_x * dim_y)
-            row[p * dim_y + q] = one
-            rows.append(tuple(row))
-    return LinMap(field, (dim_x, dim_y), (dim_y, dim_x), tuple(rows))
+    one = field.one()
+    cols = [{q * dim_x + p: one} for p in range(dim_x) for q in range(dim_y)]
+    return _from_columns(field, (dim_x, dim_y), (dim_y, dim_x), cols)
 
 
 def invert(f: LinMap) -> LinMap:

@@ -28,6 +28,7 @@ from .linmap import (
     LinMap,
     ShapeError,
     SingularMapError,
+    _from_columns,
     _Wiring,
     apply,
     compose,
@@ -261,15 +262,14 @@ def random_twist_pair(
         candidate = random_matrix_map(field, (n,), (m, n), rng)
         cols = [list(candidate.column(j)) for j in range(n)]
         # overwrite the pivot column so that theta(point) = 1_A (x) point
-        inv_pivot = field.inv(v.point[pivot])
+        inv_pivot = field.inv(field.check(v.point[pivot]))
         for i in range(m * n):
             acc = target[i]
             for j in range(n):
                 if j != pivot and v.point[j] != field.zero():
                     acc = field.sub(acc, field.mul(v.point[j], cols[j][i]))
             cols[pivot][i] = field.mul(inv_pivot, acc)
-        rows = tuple(tuple(cols[j][i] for j in range(n)) for i in range(m * n))
-        theta = LinMap(field, (n,), (m, n), rows)
+        theta = _from_columns(field, (n,), (m, n), [{i: x for i, x in enumerate(c) if x} for c in cols])
         try:
             inverse = invert(phi_map(a, theta))
         except SingularMapError:

@@ -3,8 +3,10 @@ sharing no code with the composite-based kernel routines they cross-check.
 
 Also the dense forms of the product kernels, of an element acting on B legs
 and of the law scan (every entry visited, zeros included), kept as the
-reference the wiring kernel is tested against, and small helpers that only
-tests use."""
+reference the wiring kernel is tested against; the dense constructions of
+the 0/1 maps and of ``MapBuilder``, kept as the reference the maps built
+from sparse columns are tested against; and small helpers that only tests
+use."""
 
 from crosstwist import (
     Algebra,
@@ -215,6 +217,74 @@ def dense_leg_action(b, elem, lead: int, legs: int) -> LinMap:
         for col, row, value in terms:
             out.add(head * block + row, col, value)
     return out.build()
+
+
+def dense_columns(f: LinMap):
+    """Each column's nonzeros (row, entry), entry None for one, read off every
+    entry of the dense matrix."""
+    one = f.field.one()
+    return [
+        [(i, None if row[j] == one else row[j]) for i, row in enumerate(f.matrix) if row[j]]
+        for j in range(f.domain_total)
+    ]
+
+
+def dense_identity(field, dims) -> LinMap:
+    n = _total(dims)
+    one, zero = field.one(), field.zero()
+    rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return LinMap(field, tuple(dims), tuple(dims), rows)
+
+
+def dense_flip(field, dim_x: int, dim_y: int) -> LinMap:
+    """The swap X (x) Y -> Y (x) X, one dense row per basis vector of Y (x) X."""
+    one, zero = field.one(), field.zero()
+    rows = []
+    for q in range(dim_y):
+        for p in range(dim_x):
+            row = [zero] * (dim_x * dim_y)
+            row[p * dim_y + q] = one
+            rows.append(tuple(row))
+    return LinMap(field, (dim_x, dim_y), (dim_y, dim_x), tuple(rows))
+
+
+def dense_group_mult(table, field) -> LinMap:
+    """The multiplication of the group algebra of a Cayley table: row k has a
+    one in column i*n + j exactly when g_i g_j = g_k."""
+    n = len(table)
+    one, zero = field.one(), field.zero()
+    rows = []
+    for k in range(n):
+        row = [zero] * (n * n)
+        for i in range(n):
+            for j in range(n):
+                if table[i][j] == k:
+                    row[i * n + j] = one
+        rows.append(tuple(row))
+    return LinMap(field, (n, n), (n,), tuple(rows))
+
+
+def dense_group_like_comult(field, m: int) -> LinMap:
+    """g -> g (x) g on the basis of a group algebra of dimension m."""
+    one, zero = field.one(), field.zero()
+    rows = []
+    for i in range(m):
+        for j in range(m):
+            rows.append(tuple(one if i == k == j else zero for k in range(m)))
+    return LinMap(field, (m,), (m, m), tuple(rows))
+
+
+def dense_group_like_counit(field, m: int) -> LinMap:
+    return LinMap(field, (m,), (1,), ((field.one(),) * m,))
+
+
+def dense_map_builder(field, domain_dims, codomain_dims, entries) -> LinMap:
+    """The map whose (row, col) entry is the sum of the values given for it
+    in ``entries``, accumulated in dense rows and validated at the end."""
+    rows = [[field.zero()] * _total(domain_dims) for _ in range(_total(codomain_dims))]
+    for row, col, value in entries:
+        rows[row][col] = field.add(rows[row][col], value)
+    return LinMap(field, tuple(domain_dims), tuple(codomain_dims), tuple(map(tuple, rows)))
 
 
 def naive_matmul(f: LinMap, g: LinMap) -> LinMap:

@@ -238,6 +238,31 @@ class TestUsageErrors:
             assert code == 2 and "must be prime" in err and out == ""
 
     @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("validate", "--output"),
+            ("verify-iso", "--object"),
+            ("verify-iso", "--output"),
+            ("corpus", "--object"),
+            ("corpus", "--report"),
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_is_refused(self, command, flag, emitted, capsys, tmp_path):
+        argv = [command]
+        if command == "validate":
+            argv += ["--input", str(emitted("gauge-c2"))]
+        elif command == "verify-iso":
+            twisted = tmp_path / "twisted.json"
+            run_cli(["twist", "--input", str(emitted("gauge-c2")), "--output", str(twisted)], capsys)
+            argv += ["--input", str(twisted)]
+        value = {"--output": str(tmp_path / "written.json"), "--object": "crossed", "--report": "json"}[flag]
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run_cli(argv + [flag, value], capsys)
+        assert code == 2 and out == ""
+        assert "usage:" in err and f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
         "case", ["directory", "non_utf8", "deep_json", "verify_iso_dims", "twist_pair_dims"]
     )
     def test_unreadable_or_mismatched_input_is_input_error(self, case, emitted, capsys, tmp_path):

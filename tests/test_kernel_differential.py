@@ -11,12 +11,18 @@ identity-padded chain of dense products, the steps of an element acting on B
 legs against the dense expansion of its terms, and the column-by-column law
 scan against the dense scan of both full composites.  Products in tensor
 powers (up to four legs) also draw single-nonzero factors and factors whose
-terms cancel, and a counting field pins how many multiplications the
-leg-split product and a push through a 0/1 map make.
+terms cancel, and chained products of three to five factors are checked
+against the pairwise fold of the dense product.  The sparse columns a map is
+read as and built from (``_columns``, ``_from_columns``) are checked against
+a dense scan, and the 0/1 maps and ``MapBuilder`` built from them against
+their dense constructions.  A counting field pins how many multiplications
+the leg-split product and a push through a 0/1 map make, and that building
+a 0/1 map checks no entry.
 """
 
 from fractions import Fraction
 from functools import partial, reduce
+from itertools import permutations
 from math import prod
 
 import pytest
@@ -24,7 +30,9 @@ from hypothesis import given, settings, strategies as st
 
 from crosstwist import (
     Algebra,
+    FieldError,
     LinMap,
+    MapBuilder,
     PrimeField,
     Rationals,
     RightModuleAlgebra,
@@ -33,6 +41,7 @@ from crosstwist import (
     apply,
     compose,
     flip,
+    group_like_bialgebra,
     identity,
     kron_vec,
     reshape,
@@ -40,12 +49,19 @@ from crosstwist import (
     tensor_map,
 )
 from crosstwist.corpus import _acting
-from crosstwist.linmap import _element, _Wiring
+from crosstwist.linmap import _columns, _element, _from_columns, _Wiring
 from crosstwist.report import law_from_maps
 from oracles import (
+    dense_columns,
     dense_compose,
     dense_first_difference,
+    dense_flip,
+    dense_group_like_comult,
+    dense_group_like_counit,
+    dense_group_mult,
+    dense_identity,
     dense_leg_action,
+    dense_map_builder,
     dense_tensor_elem_product,
     dense_tensor_map,
     naive_apply,
@@ -191,6 +207,38 @@ def test_tensor_elem_product_refuses_wrong_lengths():
     for k, u, v in ((2, four, five), (2, five, four), (3, four, four), (0, [field.one()], [field.one()])):
         with pytest.raises(ShapeError):
             tensor_elem_product(z2, k, u, v)
+
+
+@st.composite
+def chained_products(draw):
+    """An algebra that is most often not associative, k, and three to five
+    elements of its k-th tensor power."""
+    field = draw(st.sampled_from(FIELDS))
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3 if m <= 2 else 2))
+    algebra = Algebra(m, draw(linmaps(field, (m, m), (m,))), tuple(draw(scalars(field, m))))
+    factors = [draw(elements(field, m**k)) for _ in range(draw(st.integers(3, 5)))]
+    return algebra, k, factors
+
+
+@SETTINGS
+@given(chained_products())
+def test_chained_product_matches_pairwise_dense_fold(case):
+    algebra, k, factors = case
+    want = factors[-1]
+    for u in reversed(factors[:-1]):  # u (v (w ...)), as validate reads laws on documents
+        want = dense_tensor_elem_product(algebra, k, u, want)
+    assert tensor_elem_product(algebra, k, *factors) == want
+
+
+def test_chained_product_refuses_any_factor_of_wrong_length():
+    field = FIELDS[1]
+    z2 = algebra_from_group(((0, 1), (1, 0)), 0, field)
+    good, bad = [field.one()] * 4, [field.one()] * 5
+    for n in (3, 4, 5):
+        for wrong in range(n):
+            with pytest.raises(ShapeError):
+                tensor_elem_product(z2, 2, *(bad if t == wrong else good for t in range(n)))
 
 
 @SETTINGS
@@ -371,16 +419,89 @@ def test_steps_over_different_fields_are_refused():
             build()
 
 
+@SETTINGS
+@given(st.sampled_from(FIELDS).flatmap(lambda field: st.one_of(linmaps(field), linmaps(field, domain_dims=()))))
+def test_columns_match_dense_scan_and_rebuild_the_map(f):
+    cols = _columns(f)
+    assert cols == dense_columns(f)
+    one = f.field.one()
+    sparse = [{i: one if a is None else a for i, a in col} for col in cols]
+    assert_same(_from_columns(f.field, f.domain_dims, f.codomain_dims, sparse), f)
+
+
+S3 = sorted(permutations(range(3)))
+S3_TABLE = tuple(tuple(S3.index(tuple(p[x] for x in q)) for q in S3) for p in S3)
+GROUP_TABLES = (
+    ((0,),),
+    ((0, 1), (1, 0)),
+    tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3)),
+    tuple(tuple(i ^ j for j in range(4)) for i in range(4)),
+    S3_TABLE,
+)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_constant_maps_match_dense_constructions(field):
+    for dims in ((1,), (3,), (2, 3), (2, 1, 2), ()):
+        assert_same(identity(field, dims), dense_identity(field, dims))
+    for x in range(1, 4):
+        for y in range(1, 4):
+            assert_same(flip(field, x, y), dense_flip(field, x, y))
+    for table in GROUP_TABLES:
+        algebra = algebra_from_group(table, 0, field)
+        assert_same(algebra.mult, dense_group_mult(table, field))
+        quasi = group_like_bialgebra(algebra)
+        assert_same(quasi.comult, dense_group_like_comult(field, algebra.dim))
+        assert_same(quasi.counit, dense_group_like_counit(field, algebra.dim))
+
+
+@st.composite
+def builder_entries(draw):
+    """Dims and (row, col, value) entries, repeated positions among them, with
+    values from -2 to 2 so that some sums cancel to zero."""
+    field = draw(st.sampled_from(FIELDS))
+    domain, codomain = tuple(draw(factor_dims)), tuple(draw(factor_dims))
+    position = st.tuples(st.integers(0, prod(codomain) - 1), st.integers(0, prod(domain) - 1))
+    values = st.integers(-2, 2).map(field.from_int)
+    return field, domain, codomain, draw(st.lists(st.tuples(position, values), max_size=30))
+
+
+@SETTINGS
+@given(builder_entries())
+def test_map_builder_matches_dense_accumulation(case):
+    field, domain, codomain, entries = case
+    builder = MapBuilder(field, domain, codomain)
+    for (row, col), value in entries:
+        builder.add(row, col, value)
+    want = dense_map_builder(field, domain, codomain, [(r, c, v) for (r, c), v in entries])
+    assert_same(builder.build(), want)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(FIELDS[0], True), (FIELDS[0], 0.5), (FIELDS[1], True), (FIELDS[1], 0.5), (FIELDS[1], 7), (FIELDS[1], -1)],
+)
+def test_map_builder_add_refuses_a_bad_scalar(field, value):
+    builder = MapBuilder(field, (2,), (2,))
+    with pytest.raises(FieldError):
+        builder.add(0, 1, value)
+
+
 class CountingField(PrimeField):
-    """GF(p) that counts its multiplications in ``muls``."""
+    """GF(p) that counts its multiplications in ``muls`` and its checks in ``checks``."""
 
     def __init__(self, p):
         super().__init__(p)
         object.__setattr__(self, "muls", 0)
+        object.__setattr__(self, "checks", 0)
 
     def mul(self, a, b):
         object.__setattr__(self, "muls", self.muls + 1)
         return super().mul(a, b)
+
+    def check(self, a):
+        object.__setattr__(self, "checks", self.checks + 1)
+        return super().check(a)
 
 
 class TestFieldOpCounts:
@@ -401,3 +522,12 @@ class TestFieldOpCounts:
         got = _Wiring((3, 4), [(swap, 0)]).push({j: 1 + j % 4 for j in range(12)})
         assert field.muls == before
         assert got == {q * 3 + p: 1 + (p * 4 + q) % 4 for p in range(3) for q in range(4)}
+
+    def test_building_constant_maps_checks_no_entry(self):
+        field = CountingField(5)
+        flip(field, 3, 4)
+        identity(field, (2, 3))
+        assert field.checks == 0
+        algebra_from_group(GROUP_TABLES[3], 0, field)
+        # none of the 64 structure constants: the 4 checks are the Algebra constructor's, on the unit
+        assert field.checks == 4
