@@ -3,7 +3,9 @@
 The three product conditions are exact equalities of two wirings of R, sigma
 and mu, compared column by column; the two unit conditions push the vectors
 at the distinguished elements through R and sigma, so failure indices stay
-interpretable.
+interpretable.  A passing ``check_twisting_map`` or ``check_brz_axioms``
+report is remembered per object (see ``report``), and the product on A (x) V
+ends in the triple product of A as two ``mult`` steps.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import chain
 
-from .algebra import Algebra, PointedSpace, check_algebra, mu2, opposite_unit_insertion
+from .algebra import Algebra, PointedSpace, _triple, check_algebra, opposite_unit_insertion
 from .fields import Field
 from .linmap import LinMap, ShapeError, _sparse, _Wiring, compose, kron_vec, reshape
-from .report import AxiomReport, LawCheck, law_from_maps
+from .report import AxiomReport, LawCheck, _certify_once, law_from_maps
 
 
 class InvalidDataError(ValueError):
@@ -100,10 +102,12 @@ def _r_mult_law(law: str, r: LinMap, a: Algebra, n: int) -> LawCheck:
     return law_from_maps(law, (n, a.dim, a.dim), [(mu, 1), (r, 0)], [(r, 0), (r, 1), (mu, 0)])
 
 
+@_certify_once
 def check_twisting_map(t: TwistingMapData) -> AxiomReport:
     """The four twisting-map conditions tw1..tw4, each as an exact identity.
 
-    tw1..tw3 are brz1 and brz3 with B in place of V."""
+    tw1..tw3 are brz1 and brz3 with B in place of V.  A passing report is
+    remembered per object."""
     left, right = _unit_slides(t.r, t.a, t.b.unit, "B")
     nb, mu_b = t.b.dim, t.b.mult
     return AxiomReport(
@@ -136,8 +140,10 @@ def twisted_tensor_product(t: TwistingMapData) -> CrossedData:
     )
 
 
+@_certify_once
 def check_brz_axioms(c: CrossedData) -> AxiomReport:
-    """The five crossed-product conditions, in order, as exact equalities."""
+    """The five crossed-product conditions, in order, as exact equalities.
+    A passing report is remembered per object."""
     field = c.field
     m, n = c.a.dim, c.v.dim
     mu, r, sigma = c.a.mult, c.r, c.sigma
@@ -173,8 +179,8 @@ def check_brz_axioms(c: CrossedData) -> AxiomReport:
 
 def _product_steps(c: CrossedData) -> list:
     """The product on A (x) V as steps on (m, n, m, n): R on the middle legs,
-    sigma on the two V legs, then the triple product of A."""
-    return [(c.r, 1), (c.sigma, 2), (mu2(c.a), 0)]
+    sigma on the two V legs, then the triple product of A as two steps."""
+    return [(c.r, 1), (c.sigma, 2)] + _triple(c.a, 0)
 
 
 def crossed_mult(c: CrossedData) -> LinMap:

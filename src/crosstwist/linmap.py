@@ -245,15 +245,19 @@ def identity(field: Field, dims: Sequence[int]) -> LinMap:
 
 class MapBuilder:
     """Accumulates matrix entries for maps assembled by explicit index loops;
-    each value is checked against the field as it is added."""
+    each position is checked against the shape and each value against the
+    field as it is added."""
 
     def __init__(self, field: Field, domain_dims: Sequence[int], codomain_dims: Sequence[int]):
         self.field = field
         self.domain_dims = tuple(domain_dims)
         self.codomain_dims = tuple(codomain_dims)
+        self._rows = _total(self.codomain_dims)
         self._cols = [{} for _ in range(_total(self.domain_dims))]
 
     def add(self, row: int, col: int, value: Scalar) -> None:
+        if not (0 <= row < self._rows and 0 <= col < len(self._cols)):
+            raise IndexError(f"entry ({row}, {col}) out of range [0, {self._rows}) x [0, {len(self._cols)})")
         column, value = self._cols[col], self.field.check(value)
         column[row] = self.field.add(column[row], value) if row in column else value
 

@@ -1,10 +1,17 @@
-"""Axiom-check reports: one record per law, with a deterministic first counterexample."""
+"""Axiom-check reports: one record per law, with a deterministic first counterexample.
+
+``check_algebra``, ``check_twisting_map`` and ``check_brz_axioms`` remember a
+passing report per object (``_certify_once``), so an algebra or crossed datum
+that several builders require is certified once.
+"""
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linmap import _Wiring
 
@@ -120,3 +127,32 @@ def law_from_maps(law: str, legs: Sequence[int], lhs, rhs) -> LawCheck:
 
 def merge(*parts: Iterable[LawCheck]) -> AxiomReport:
     return AxiomReport(tuple(chain.from_iterable(parts)))
+
+
+# Passing reports by (certifier, id of the certified object), each entry with
+# a weak reference to that object; see ``_certify_once``.
+_PASSED: dict[tuple[Callable, int], tuple[weakref.ref, AxiomReport]] = {}
+
+
+def _certify_once(check: Callable[[object], AxiomReport]) -> Callable[[object], AxiomReport]:
+    """Remember a passing report of ``check`` per identity of the object it checks.
+
+    The side table is keyed by ``check`` and the object's ``id`` and holds the
+    object weakly, so its entry drops when the object is collected.  Nothing
+    is stored on the object, so ``copy.deepcopy`` of a certified object is
+    certified afresh.  A failing report is not stored: it is recomputed on
+    every call.
+    """
+
+    @functools.wraps(check)
+    def certified(x):
+        key = (check, id(x))
+        hit = _PASSED.get(key)
+        if hit is not None and hit[0]() is x:
+            return hit[1]
+        report = check(x)
+        if report.passed:
+            _PASSED[key] = (weakref.ref(x, lambda _ref: _PASSED.pop(key, None)), report)
+        return report
+
+    return certified

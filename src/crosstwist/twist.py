@@ -6,7 +6,9 @@ subject to four conditions, the twisted data (A, V, R', sigma') is again a
 crossed product and phi(a (x) v) = a.theta(v) is an algebra isomorphism onto
 the original one.  Every conclusion is certified here by exact identities
 between wirings of the maps, compared column by column; nothing is taken on
-faith from the constructions.
+faith from the constructions.  R' and sigma' push the triple product of A as
+two ``mult`` steps; A and the crossed data are each certified once, as
+``report`` remembers passing reports per object.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field, replace
 
-from .algebra import Algebra, PointedSpace, check_algebra, mu2, opposite_unit_insertion
+from .algebra import Algebra, PointedSpace, _triple, check_algebra, opposite_unit_insertion
 from .crossed import (
     CrossedData,
     TwistingMapData,
@@ -84,8 +86,9 @@ def phi_map(a: Algebra, chi: LinMap) -> LinMap:
 
 
 def make_r_prime(c: CrossedData, t: TwistPair) -> LinMap:
-    """R' = (mu2 (x) id).(id (x) id (x) gamma).(id (x) R).(theta (x) id)."""
-    steps = [(t.theta, 0), (c.r, 1), (t.gamma, 2), (mu2(c.a), 0)]
+    """R' = (mu2 (x) id).(id (x) id (x) gamma).(id (x) R).(theta (x) id),
+    with mu2 the triple product of A as two steps."""
+    steps = [(t.theta, 0), (c.r, 1), (t.gamma, 2)] + _triple(c.a, 0)
     return _Wiring((c.v.dim, c.a.dim), steps).to_map()
 
 

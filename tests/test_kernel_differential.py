@@ -17,9 +17,13 @@ read as and built from (``_columns``, ``_from_columns``) are checked against
 a dense scan, and the 0/1 maps and ``MapBuilder`` built from them against
 their dense constructions.  A counting field pins how many multiplications
 the leg-split product and a push through a 0/1 map make, and that building
-a 0/1 map checks no entry.
+a 0/1 map checks no entry.  The builders that push A's triple product as two
+``mult`` steps (``crossed_mult``, ``make_r_prime``, ``make_sigma_prime``,
+``mu2``) are checked against the index-sum oracles on an algebra whose
+structure constants are not 0/1.
 """
 
+import random
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import permutations
@@ -30,6 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 from crosstwist import (
     Algebra,
+    CrossedData,
     FieldError,
     LinMap,
     MapBuilder,
@@ -37,16 +42,28 @@ from crosstwist import (
     Rationals,
     RightModuleAlgebra,
     ShapeError,
+    TwistingMapData,
     algebra_from_group,
     apply,
+    build_crossed_product,
+    check_algebra,
     compose,
+    crossed_mult,
     flip,
     group_like_bialgebra,
     identity,
+    invert,
     kron_vec,
+    make_r_prime,
+    make_sigma_prime,
+    maps_equal,
+    mu2,
+    random_twist_pair,
     reshape,
     tensor_elem_product,
     tensor_map,
+    trivial_pair,
+    twisted_tensor_product,
 )
 from crosstwist.corpus import _acting
 from crosstwist.linmap import _columns, _element, _from_columns, _Wiring
@@ -65,6 +82,10 @@ from oracles import (
     dense_tensor_elem_product,
     dense_tensor_map,
     naive_apply,
+    sweedler_crossed_product,
+    sweedler_r_prime,
+    sweedler_sigma_prime,
+    triple_product_table,
 )
 
 FIELDS = (Rationals(), PrimeField(5))
@@ -487,6 +508,16 @@ def test_map_builder_add_refuses_a_bad_scalar(field, value):
         builder.add(0, 1, value)
 
 
+@pytest.mark.parametrize("row, col", [(-1, 0), (0, -1), (6, 0), (0, 2), (-6, -2)])
+def test_map_builder_add_refuses_a_position_outside_the_shape(row, col):
+    """Rows lie in [0, 6) and columns in [0, 2): no index counts from the end."""
+    builder = MapBuilder(FIELDS[1], (2,), (2, 3))
+    builder.add(5, 1, 3)
+    with pytest.raises(IndexError, match="out of range"):
+        builder.add(row, col, 1)
+    assert_same(builder.build(), dense_map_builder(FIELDS[1], (2,), (2, 3), [(5, 1, 3)]))
+
+
 class CountingField(PrimeField):
     """GF(p) that counts its multiplications in ``muls`` and its checks in ``checks``."""
 
@@ -531,3 +562,61 @@ class TestFieldOpCounts:
         algebra_from_group(GROUP_TABLES[3], 0, field)
         # none of the 64 structure constants: the 4 checks are the Algebra constructor's, on the unit
         assert field.checks == 4
+
+
+
+def upper_triangular(field) -> Algebra:
+    """Upper-triangular 2x2 matrices in the basis 1, e11 + 2 e12, e12 + e22, whose
+    structure constants are not single entries equal to one."""
+    basis = ((1, 0, 1), (1, 2, 0), (0, 1, 1))  # (a, b, d) for the matrix [[a, b], [0, d]]
+    to_std = LinMap(field, (3,), (3,), tuple(tuple(map(field.from_int, row)) for row in zip(*basis)))
+    coords = invert(to_std)
+    cols = [
+        apply(coords, tuple(map(field.from_int, (a * a2, a * b2 + b * d2, d * d2))))
+        for a, b, d in basis
+        for a2, b2, d2 in basis
+    ]
+    mult = LinMap(field, (3, 3), (3,), tuple(zip(*cols)))
+    return Algebra(3, mult, (field.one(), field.zero(), field.zero()), label="T2")
+
+
+def flip_t2_c2(field) -> CrossedData:
+    """The tensor product of T2 (``upper_triangular``) and kC2, twisted by the flip."""
+    c2 = algebra_from_group(GROUP_TABLES[1], 0, field)
+    return twisted_tensor_product(TwistingMapData(upper_triangular(field), c2, flip(field, 2, 3)))
+
+
+def twist_cases():
+    """``flip_t2_c2`` with the trivial pair and a seeded random pair, over each field."""
+    for field in FIELDS:
+        data = flip_t2_c2(field)
+        yield pytest.param(data, trivial_pair(data.a, data.v), id=f"{field.describe()}-trivial")
+        pair = random_twist_pair(data.a, data.v, random.Random(field.describe()))
+        yield pytest.param(data, pair, id=f"{field.describe()}-random")
+
+
+class TestTwoStepTripleProduct:
+    """The builders that push A's triple product as two mult steps, against the
+    index-sum oracles, on an algebra whose structure constants are not 0/1."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_structure_constants_are_not_0_1(self, field):
+        a = upper_triangular(field)
+        assert check_algebra(a).passed
+        assert any(x not in (field.zero(), field.one()) for row in a.mult.matrix for x in row)
+        assert any(sum(1 for x in a.mult.column(j) if x) > 1 for j in range(9))
+
+    @pytest.mark.parametrize("data, pair", twist_cases())
+    def test_products_and_twisted_maps_match_the_sweedler_oracles(self, data, pair):
+        assert maps_equal(crossed_mult(data), sweedler_crossed_product(data))
+        assert maps_equal(make_r_prime(data, pair), sweedler_r_prime(data, pair))
+        assert maps_equal(make_sigma_prime(data, pair), sweedler_sigma_prime(data, pair))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_mu2_matches_the_triple_product_table(self, field):
+        data = flip_t2_c2(field)
+        for algebra in (data.a, build_crossed_product(data)):
+            m, triple = algebra.dim, mu2(algebra)
+            left, right = triple_product_table(algebra)
+            for (i, j, k), want in right.items():
+                assert triple.column((i * m + j) * m + k) == want == left[(i, j, k)]

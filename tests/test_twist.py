@@ -24,6 +24,7 @@ from crosstwist import (
     make_r_prime,
     make_sigma_prime,
     maps_equal,
+    mu2,
     opposite_unit_insertion,
     phi_map,
     random_twist_pair,
@@ -149,10 +150,12 @@ class TestApplyTwist:
 
     def test_product_builders_refuse_non_associative_algebra(self, non_associative):
         """Every map built from the product on A (x) V needs the triple product
-        of A, so each refuses the A of the fixture, where (e1 e1) e1 != e1 (e1 e1)."""
+        of A, so each refuses the A of the fixture, where (e1 e1) e1 != e1 (e1 e1).
+        A failing certificate is never remembered, so each refuses every time."""
         data, pair = non_associative
         result = TwistResult(data.r, data.sigma, data, identity(F, (3, 1)), identity(F, (3, 1)))
         calls = (
+            (mu2, data.a),
             (crossed_mult, data),
             (make_r_prime, data, pair),
             (make_sigma_prime, data, pair),
@@ -160,7 +163,7 @@ class TestApplyTwist:
             (verify_twist_result, data, result),
         )
         message = r"bracketing; first difference on basis input \(1, 1, 1\)$"
-        for build, *args in calls:
+        for build, *args in calls + calls:
             with pytest.raises(NonAssociativeError, match=message):
                 build(*args)
 
