@@ -8,6 +8,8 @@ remembered ``assoc`` law, so no m**3-column map is built or scanned again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .fields import Field, Scalar
@@ -158,17 +160,29 @@ def tensor_elem_product(
     Splits on the first leg: u = sum e_i (x) u_i and v = sum e_j (x) v_j give
     uv = sum (e_i e_j) (x) (u_i v_j), so each pair of nonzero scalars is multiplied
     once, on the last leg, and a structure constant other than one scales a partial sum.
-    Each partial product stays a sparse vector.
+    Partial products are sparse dicts of ints: over Q, factors and structure
+    constants are scaled by their common denominators (multiplied along the chain)
+    and each nonzero output is one ``Fraction``; over GF(p) each level is reduced mod p.
     """
-    field, m = a.field, a.dim
+    field, m, p = a.field, a.dim, a.field.characteristic
     total = m**k
     if k < 1:
         raise ShapeError(f"tensor powers start at k = 1, got k = {k}")
     factors = (u, v) + more
     if any(len(x) != total for x in factors):
         raise ShapeError(f"expected vectors of length {total} in the {k}-fold power")
-    add, mul, zero = field.add, field.mul, field.zero()
-    table = _columns(a.mult)  # table[i*m + j]: the nonzero (w, c) with e_i e_j = sum of c e_w
+    table, d_t = _columns(a.mult), 1  # table[i*m + j]: the nonzero (w, c) with e_i e_j = sum of c e_w / d_t
+    if not p:  # the constants as ints c * d_t, with None (no product) only for a scaled constant equal to one
+        d_t = lcm(*(c.denominator for col in table for _, c in col if c))
+        table = [[(w, None if (s := c.numerator * (d_t // c.denominator) if c else d_t) == 1 else s)
+                  for w, c in col] for col in table]
+
+    def integral(x):
+        """Integers n_i and one denominator d > 0 with x_i = n_i / d; over GF(p), x and 1."""
+        if p:
+            return x, 1
+        d = lcm(*(s.denominator for s in x.values()))
+        return {i: s.numerator * (d // s.denominator) for i, s in x.items()}, d
 
     def split(x, n):
         """Sparse x on n legs as {i: x_i} with x = sum e_i (x) x_i, each x_i split again."""
@@ -181,28 +195,30 @@ def tensor_elem_product(
         return {i: split(part, n - 1) for i, part in parts.items()}
 
     def product(x, y, n):
-        """x y for x, y on n legs, split by ``split``."""
+        """x y for x, y on n legs, split by ``split``, times d_t**n."""
         out, block = {}, m ** (n - 1)
         if n == 1:  # the last leg: one product per pair, scattered by e_i e_j
             for i, s in x.items():
                 for j, t in y.items():
-                    p = mul(s, t)
+                    st = s * t
                     for w, c in table[i * m + j]:
-                        q = p if c is None else mul(p, c)
-                        out[w] = add(out[w], q) if w in out else q
+                        q = st if c is None else st * c
+                        out[w] = out[w] + q if w in out else q
         else:  # one product u_i v_j per pair, scattered by e_i e_j
             for i, xi in x.items():
                 for j, yj in y.items():
                     part = product(xi, yj, n - 1).items()
                     for w, c in table[i * m + j]:
                         for r, s in part:
-                            z, q = w * block + r, s if c is None else mul(s, c)
-                            out[z] = add(out[z], q) if z in out else q
-        return {z: s for z, s in out.items() if s}
+                            z, q = w * block + r, s if c is None else s * c
+                            out[z] = out[z] + q if z in out else q
+        return {z: r for z, s in out.items() if (r := s % p if p else s)}
 
-    got = _sparse(field, factors[-1])
+    got, d = integral(_sparse(field, factors[-1]))
     for x in reversed(factors[:-1]):
-        got = product(split(_sparse(field, x), k), split(got, k), k)
+        x, d_x = integral(_sparse(field, x))
+        got, d = product(split(x, k), split(got, k), k), d_x * d * d_t**k
+    got, zero = got if p else {z: Fraction(s, d) for z, s in got.items()}, field.zero()
     return tuple(got.get(z, zero) for z in range(total))
 
 

@@ -105,6 +105,8 @@ class Rationals:
         if not m:
             raise FieldError(f"malformed rational literal {text!r} (expected 'a/b')")
         num, den = int(m.group(1)), int(m.group(2))
+        if m.group(1) != str(num):  # the numerator is 0 or -?[1-9][0-9]*
+            raise FieldError(f"non-canonical rational literal {text!r} (leading zero or signed zero)")
         from math import gcd
 
         if gcd(abs(num), den) != 1 or (num == 0 and den != 1):

@@ -29,7 +29,8 @@ products are 0/1 maps).  A map is built by pushing each basis column, and
 two wirings are compared column by column, stopping at the first differing
 column.  ``compose``, ``tensor_map`` and ``first_difference`` are single
 wirings.  ``algebra.tensor_elem_product`` splits on the first leg instead,
-so that u (x) v is never built.
+so that u (x) v is never built, on Python ints: over Q with one common
+denominator per factor, over GF(p) reduced mod p once per product level.
 
 All values are immutable after construction and every operation is a pure
 function.  Entries are validated when a map is constructed through

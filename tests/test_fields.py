@@ -22,7 +22,7 @@ def test_rational_parse_canonical():
     assert f.format(Fraction(-1, 2)) == "-1/2"
 
 
-@pytest.mark.parametrize("text", ["2/4", "1/-2", "0/3", "5", "1.5", "1/0", "--1/2", "+1/2"])
+@pytest.mark.parametrize("text", ["2/4", "1/-2", "0/3", "5", "1.5", "1/0", "--1/2", "+1/2", "-0/1", "01/1", "-03/4", "00/1"])
 def test_rational_parse_rejects_noncanonical(text):
     with pytest.raises(FieldError):
         Rationals().parse(text)

@@ -1,13 +1,15 @@
 """Hypothesis fuzzing of documents against the parse and CLI contracts.
 
-Each example sets one or two scalar entries of an emitted 2x2 document over
-Q or GF(5) (or of the document its twist emits) to other scalars of its
-field, and may add one structural edit: a deletion, or a small JSON value in
-place of any node.  ``parse`` may only return a ``SpecDocument`` or raise
-``DocumentError``; each CLI command may only return 0, 1 or 2, so an
-exception escaping ``main`` fails the test.  ``twist`` must also agree with
-``apply_twist`` on the parsed objects, and ``corpus`` is fuzzed over its
-``--emit`` value and field spec.
+Each example sets one or two scalar entries of an emitted document over Q
+or GF(5) (the 2x2 ``ttp-flip-c2`` and ``gauge-c2``, or the 4x2 ``gauge-v4``,
+whose associator edits drive ``validate`` through the products in H^(x)3, or
+the document a twist emits) to other scalars of its field, and may add one
+structural edit: a deletion, or a small JSON value in place of any node.
+``parse`` may only return a ``SpecDocument`` or raise ``DocumentError``;
+each CLI command may only return 0, 1 or 2, so an exception escaping
+``main`` fails the test.  ``twist`` must also agree with ``apply_twist`` on
+the parsed objects, and ``corpus`` is fuzzed over its ``--emit`` value and
+field spec.
 """
 
 import contextlib
@@ -25,7 +27,7 @@ from crosstwist import cli
 from crosstwist.cli import main
 from crosstwist.io import DocumentError, SpecDocument, parse
 
-NAMES = ("ttp-flip-c2", "gauge-c2")
+NAMES = ("ttp-flip-c2", "gauge-c2", "gauge-v4")
 FIELDS = {"": "rationals", "gf5/": "gf:5"}
 DELETE = "<delete>"
 SCALARS = {

@@ -15,19 +15,25 @@ terms cancel, and chained products of three to five factors are checked
 against the pairwise fold of the dense product.  The sparse columns a map is
 read as and built from (``_columns``, ``_from_columns``) are checked against
 a dense scan, and the 0/1 maps and ``MapBuilder`` built from them against
-their dense constructions.  A counting field pins how many multiplications
-the leg-split product and a push through a 0/1 map make, and that building
-a 0/1 map checks no entry.  The builders that push A's triple product as two
-``mult`` steps (``crossed_mult``, ``make_r_prime``, ``make_sigma_prime``,
-``mu2``) are checked against the index-sum oracles on an algebra whose
-structure constants are not 0/1.
+their dense constructions.  Products in tensor powers run on Python ints:
+deterministic chains over Q (a table whose common denominator is 2, with
+constants equal to one and to 1/2, and factors with mixed denominators)
+and over GF(5) and GF(2**61 - 1) (where a missed reduction would leave an
+entry out of range) are checked against the dense fold.  A counting field
+pins that such a product calls no field multiplication or addition and
+checks each factor entry once, zeros included, that a push through a 0/1
+map multiplies nothing, and that building a 0/1 map checks no entry.  The
+builders that push A's triple product as two ``mult`` steps
+(``crossed_mult``, ``make_r_prime``, ``make_sigma_prime``, ``mu2``) are
+checked against the index-sum oracles on an algebra whose structure
+constants are not 0/1.
 """
 
 import random
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import permutations
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -519,16 +525,22 @@ def test_map_builder_add_refuses_a_position_outside_the_shape(row, col):
 
 
 class CountingField(PrimeField):
-    """GF(p) that counts its multiplications in ``muls`` and its checks in ``checks``."""
+    """GF(p) that counts its multiplications in ``muls``, its additions in
+    ``adds`` and its checks in ``checks``."""
 
     def __init__(self, p):
         super().__init__(p)
         object.__setattr__(self, "muls", 0)
+        object.__setattr__(self, "adds", 0)
         object.__setattr__(self, "checks", 0)
 
     def mul(self, a, b):
         object.__setattr__(self, "muls", self.muls + 1)
         return super().mul(a, b)
+
+    def add(self, a, b):
+        object.__setattr__(self, "adds", self.adds + 1)
+        return super().add(a, b)
 
     def check(self, a):
         object.__setattr__(self, "checks", self.checks + 1)
@@ -536,14 +548,15 @@ class CountingField(PrimeField):
 
 
 class TestFieldOpCounts:
-    def test_power_product_multiplies_each_pair_of_nonzeros_once(self):
+    def test_power_product_on_ints_checks_each_entry_once(self):
         field = CountingField(5)
         c2_squared = algebra_from_group([[i ^ j for j in range(4)] for i in range(4)], 0, field)
         u = [1 + i % 4 for i in range(64)]
-        v = [1 + i % 3 for i in range(64)]
-        before = field.muls
+        v = [(i % 3) * (1 + i % 4) % 5 for i in range(64)]  # a third zeros, each still checked
+        before = field.muls, field.adds, field.checks
         got = tensor_elem_product(c2_squared, 3, u, v)
-        assert field.muls - before <= 64 * 64
+        assert (field.muls, field.adds) == before[:2]
+        assert field.checks - before[2] == len(u) + len(v)
         assert got == dense_tensor_elem_product(c2_squared, 3, u, v)
 
     def test_pushing_through_a_flip_multiplies_nothing(self):
@@ -578,6 +591,65 @@ def upper_triangular(field) -> Algebra:
     ]
     mult = LinMap(field, (3, 3), (3,), tuple(zip(*cols)))
     return Algebra(3, mult, (field.one(), field.zero(), field.zero()), label="T2")
+
+
+def half_quadratic(field) -> Algebra:
+    """Q[x]/(x^2 - x - 1/2) in the basis 1, x: the structure constants have the
+    common denominator 2, so each constant equal to one scales to 2 and the
+    constant 1/2 scales to one."""
+    one, zero, half = field.one(), field.zero(), field.from_fraction(Fraction(1, 2))
+    cols = ((one, zero), (zero, one), (zero, one), (half, one))  # e_i e_j in column i*2 + j
+    return Algebra(2, LinMap(field, (2, 2), (2,), tuple(zip(*cols))), (one, zero), label="half")
+
+
+def mixed_factors(field, count, total, rnd):
+    """``count`` factors of length ``total``: over Q with the denominators 1..7 mixed
+    in each factor, over GF(p) spread over the whole range; about a quarter zeros."""
+
+    def entry():
+        if rnd.random() < 0.25:
+            return field.zero()
+        if isinstance(field, Rationals):
+            return Fraction(rnd.choice((-5, -3, -1, 1, 2, 4)), rnd.randint(1, 7))
+        return rnd.randrange(field.p)
+
+    return [[entry() for _ in range(total)] for _ in range(count)]
+
+
+INTEGER_PUSH_FIELDS = (Rationals(), PrimeField(5), PrimeField(2**61 - 1))
+
+
+@pytest.mark.parametrize("field", INTEGER_PUSH_FIELDS, ids=lambda f: f.describe())
+@pytest.mark.parametrize("make_algebra", [half_quadratic, upper_triangular], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_integer_push_matches_the_dense_fold(field, make_algebra, k):
+    """Chains of two to five factors against the pairwise fold of the dense
+    product; over Q each factor's entries have different denominators, and
+    over GF(2**61 - 1) a missed reduction would leave an entry out of range."""
+    algebra = make_algebra(field)
+    rnd = random.Random(f"{field.describe()}/{algebra.label}/{k}")
+    for count in (2, 3, 4, 5):
+        factors = mixed_factors(field, count, algebra.dim**k, rnd)
+        want = factors[-1]
+        for u in reversed(factors[:-1]):
+            want = dense_tensor_elem_product(algebra, k, u, want)
+        got = tensor_elem_product(algebra, k, *factors)
+        assert got == tuple(want)
+        assert all(is_canonical(field, x) for x in got)
+        if isinstance(field, Rationals):
+            assert all(gcd(x.numerator, x.denominator) == 1 and x.denominator > 0 for x in got)
+
+
+def test_half_quadratic_products_by_hand():
+    """Over Q: x x = 1/2 + x, 1 x = x, and (x (x) x)(x (x) x) = (1/2 + x) (x) (1/2 + x),
+    so the scaled constant equal to one (1/2) and those scaled past it (1) both count."""
+    field = Rationals()
+    algebra = half_quadratic(field)
+    one, x = (field.one(), field.zero()), (field.zero(), field.one())
+    assert tensor_elem_product(algebra, 1, x, x) == (Fraction(1, 2), 1)
+    assert tensor_elem_product(algebra, 1, one, x) == x
+    xx = (0, 0, 0, 1)
+    assert tensor_elem_product(algebra, 2, xx, xx) == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), 1)
 
 
 def flip_t2_c2(field) -> CrossedData:
