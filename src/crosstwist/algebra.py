@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .fields import Field, Scalar
+from .fields import Field, Scalar, _text
 from .linmap import LinMap, ShapeError, _columns, _element, _from_columns, _sparse, _Wiring, basis_vector
 from .report import AxiomReport, LawCheck, _certify_once, law_from_maps
 
@@ -85,7 +85,7 @@ def check_algebra(a: Algebra) -> AxiomReport:
         """unit * e_j = e_j (or e_j * unit = e_j); only a failing case renders the product."""
         for j in range(m):
             got = push({start(i, j): x for i, x in unit})
-            dense = "" if got == {j: one} else ", ".join(str(got.get(i, field.zero())) for i in range(m))
+            dense = "" if got == {j: one} else ", ".join(_text(got.get(i, field.zero())) for i in range(m))
             yield (j,), got, {j: one}, detail.format(j=j, got=f"[{dense}]")
 
     checks = [law_from_maps("assoc", (m,) * 3, [(mult, 0), (mult, 0)], [(mult, 1), (mult, 0)])]

@@ -1,7 +1,7 @@
 """Crossed-product data (A, V, R, sigma), its five axioms, and the product algebra.
 
 The three product conditions are exact equalities of two wirings of R, sigma
-and mu, compared column by column; the two unit conditions push the vectors
+and mu, compared in batches of basis columns; the two unit conditions push the vectors
 at the distinguished elements through R and sigma, so failure indices stay
 interpretable.  A passing ``check_twisting_map`` or ``check_brz_axioms``
 report is remembered per object (see ``report``), and the product on A (x) V

@@ -28,6 +28,38 @@ _RATIONAL_RE = re.compile(r"^(-?[0-9]+)/([1-9][0-9]*)$")
 _INT_RE = re.compile(r"^(0|[1-9][0-9]*)$")
 
 
+# Digits per chunk when ``_text`` writes an int too long for ``str``: fewer
+# than the least limit ``sys.set_int_max_str_digits`` accepts (640).
+_CHUNK = 600
+
+
+def _text(x: Scalar) -> str:
+    """``str(x)`` of a scalar of any size.  Python's ``str`` refuses an int of
+    more than ``sys.get_int_max_str_digits()`` digits, and so a ``Fraction``
+    with such a part; those are written in chunks of ``_CHUNK`` digits."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    if isinstance(x, Fraction):
+        num = _text(x.numerator)
+        return num if x.denominator == 1 else f"{num}/{_text(x.denominator)}"
+    n, chunks = abs(x), []
+    while n >= 10**_CHUNK:
+        n, low = divmod(n, 10**_CHUNK)
+        chunks.append(str(low).zfill(_CHUNK))
+    return "-" * (x < 0) + str(n) + "".join(reversed(chunks))
+
+
+def _read_int(digits: str) -> int:
+    """``int(digits)``, which refuses more than ``sys.get_int_max_str_digits()``
+    digits, with a ``FieldError`` in place of its ``ValueError``."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise FieldError(f"a number of {len(digits)} digits is too long to read") from None
+
+
 # Deterministic Miller-Rabin: the first thirteen prime bases are exact below
 # psi_13 (Sorenson and Webster 2017); larger moduli are refused.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -104,7 +136,7 @@ class Rationals:
         m = _RATIONAL_RE.match(text)
         if not m:
             raise FieldError(f"malformed rational literal {text!r} (expected 'a/b')")
-        num, den = int(m.group(1)), int(m.group(2))
+        num, den = _read_int(m.group(1)), _read_int(m.group(2))
         if m.group(1) != str(num):  # the numerator is 0 or -?[1-9][0-9]*
             raise FieldError(f"non-canonical rational literal {text!r} (leading zero or signed zero)")
         from math import gcd
@@ -115,7 +147,7 @@ class Rationals:
 
     def format(self, a: Fraction) -> str:
         a = self.check(a)
-        return f"{a.numerator}/{a.denominator}"
+        return f"{_text(a.numerator)}/{_text(a.denominator)}"
 
     def describe(self) -> str:
         return "rationals"
@@ -181,7 +213,7 @@ class PrimeField:
     def parse(self, text: str) -> int:
         if not _INT_RE.match(text):
             raise FieldError(f"malformed GF({self.p}) literal {text!r} (expected bare integer)")
-        value = int(text)
+        value = _read_int(text)
         if value >= self.p:
             raise FieldError(f"non-canonical GF({self.p}) literal {text!r} (must be < {self.p})")
         return value

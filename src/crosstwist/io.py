@@ -255,7 +255,7 @@ def _decode_field(raw: Any, path: str) -> Field:
 def parse(text: str) -> SpecDocument:
     try:
         raw = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: malformed, or an int of too many digits
         raise DocumentError("$", f"not valid JSON: {exc}") from exc
     raw = _expect(raw, dict, "$")
     version = _get(raw, "format_version", str, "$")

@@ -25,9 +25,12 @@ insertion, the associator acting on B one leg at a time) is a wiring too.
 ``_Wiring`` compiles such a list once from ``_columns`` and pushes sparse
 vectors {flat index: nonzero} through it.  An entry equal to one adds the
 incoming coefficient without a product (flips, identities and group-algebra
-products are 0/1 maps).  A map is built by pushing each basis column, and
-two wirings are compared column by column, stopping at the first differing
-column.  ``compose``, ``tensor_map`` and ``first_difference`` are single
+products are 0/1 maps).  Basis columns are pushed in batches, as one sparse
+vector with each column on an extra leading leg, so the steps see a batch
+as more legs before their lead.  A map is built from one batch of all its
+columns, and two wirings are compared batch by batch, in batches of 1, 2,
+4, ... columns up to a fixed cap, stopping at the first batch that
+differs.  ``compose``, ``tensor_map`` and ``first_difference`` are single
 wirings.  ``algebra.tensor_elem_product`` splits on the first leg instead,
 so that u (x) v is never built, on Python ints: over Q with one common
 denominator per factor, over GF(p) reduced mod p once per product level.
@@ -161,6 +164,10 @@ def _element(field: Field, dims: Sequence[int], x: Sequence[Scalar]) -> LinMap:
     return LinMap(field, (), dims, tuple((c,) for c in x))
 
 
+# The most basis columns ``_Wiring.first_difference`` pushes as one batch.
+_BATCH_CAP = 256
+
+
 class _Wiring:
     """(map, lead) steps compiled on a tensor product with factor dims ``legs``.
 
@@ -215,27 +222,47 @@ class _Wiring:
             out[i] = x
         return tuple(out)
 
+    def _push_columns(self, start: int, stop: int) -> dict[int, Scalar]:
+        """The basis columns start..stop-1 pushed as one sparse vector.  Column j
+        rides on an extra leading leg, at (j - start) * total(legs) + j; each
+        compiled step carries the legs before its lead along as ``hi``, so the
+        image of column j lands at (j - start) * total(dims) + row, and entries
+        of different columns never meet or cancel."""
+        one, n = self.field.one(), _total(self.legs)
+        return self.push({(j - start) * n + j: one for j in range(start, stop)})
+
     def to_map(self) -> LinMap:
-        """The composite as a map, one pushed basis column at a time."""
-        one = self.field.one()
-        cols = (self.push({j: one}) for j in range(_total(self.legs)))
+        """The composite as a map, all basis columns pushed as one batch."""
+        n, t = _total(self.legs), _total(self.dims)
+        cols = [{} for _ in range(n)]
+        for y, x in self._push_columns(0, n).items():
+            j, i = divmod(y, t)
+            cols[j][i] = x
         return _from_columns(self.field, self.legs, self.dims, cols)
 
-    def first_difference(self, steps):
+    def first_difference(self, steps, column_dims: Sequence[int] | None = None):
         """First (domain multi-index, codomain multi-index, lhs, rhs) where this
-        composite and that of ``steps`` on the same legs differ.  Basis columns
-        are pushed through both in ascending flat order, and the scan stops at
-        the first column that differs."""
+        composite and that of ``steps`` on the same legs differ, the column
+        given over ``column_dims`` (by default the legs) of the same total.
+        Basis columns are pushed through both in ascending flat order, in
+        batches of 1, 2, 4, ... up to ``_BATCH_CAP`` columns, and the scan
+        stops at the first batch that differs; its smallest differing key is
+        the first differing column and, in it, the first differing row."""
         other = _Wiring(self.legs, steps, self.field)
-        if _total(self.dims) != _total(other.dims):
+        t = _total(self.dims)
+        if t != _total(other.dims):
             raise ShapeError(f"cannot compare maps into {self.dims} and {other.dims}")
-        zero, one = self.field.zero(), self.field.one()
-        for j in range(_total(self.legs)):
-            got, want = self.push({j: one}), other.push({j: one})
+        n, zero = _total(self.legs), self.field.zero()
+        start, size = 0, 1
+        while start < n:
+            stop = min(start + size, n)
+            got, want = self._push_columns(start, stop), other._push_columns(start, stop)
             if got != want:
-                i = min(y for y in got.keys() | want.keys() if got.get(y) != want.get(y))
-                a, b = got.get(i, zero), want.get(i, zero)
-                return unflatten(j, self.legs), unflatten(i, self.dims), a, b
+                y = min(y for y in got.keys() | want.keys() if got.get(y) != want.get(y))
+                j, i = divmod(y, t)
+                col = unflatten(start + j, self.legs if column_dims is None else column_dims)
+                return col, unflatten(i, self.dims), got.get(y, zero), want.get(y, zero)
+            start, size = stop, min(2 * size, _BATCH_CAP)
         return None
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Sequence
 
+from .fields import _text
 from .linmap import _Wiring
 
 # Fixed vocabulary of law names used by every checker and by the interchange
@@ -114,14 +115,15 @@ def format_check(c: LawCheck) -> str:
     return f"[{status}] {c.law}{where}{detail}"
 
 
-def law_from_maps(law: str, legs: Sequence[int], lhs, rhs) -> LawCheck:
-    """Compare two wirings of (map, lead) steps on ``legs``, column by column;
-    record the first bad column."""
-    diff = _Wiring(legs, lhs).first_difference(rhs)
+def law_from_maps(law: str, legs: Sequence[int], lhs, rhs, column_dims: Sequence[int] | None = None) -> LawCheck:
+    """Compare two wirings of (map, lead) steps on ``legs``, in batches of basis
+    columns; record the first bad column, as a multi-index over ``column_dims``
+    (by default the legs)."""
+    diff = _Wiring(legs, lhs).first_difference(rhs, column_dims)
     if diff is None:
         return LawCheck(law, True)
     col, row, a, b = diff
-    detail = f"lhs[{row}] = {a}, rhs[{row}] = {b} on basis input {col}"
+    detail = f"lhs[{row}] = {_text(a)}, rhs[{row}] = {_text(b)} on basis input {col}"
     return LawCheck(law, False, first_counterexample=col, detail=detail)
 
 

@@ -5,8 +5,9 @@ Also the dense forms of the product kernels, of an element acting on B legs
 and of the law scan (every entry visited, zeros included), kept as the
 reference the wiring kernel is tested against; the dense constructions of
 the 0/1 maps and of ``MapBuilder``, kept as the reference the maps built
-from sparse columns are tested against; and small helpers that only tests
-use."""
+from sparse columns are tested against; the wiring pushed one basis column
+at a time, kept as the reference its batched pushes are tested against; and
+small helpers that only tests use."""
 
 from crosstwist import (
     Algebra,
@@ -20,7 +21,7 @@ from crosstwist import (
     reshape,
     tensor_map,
 )
-from crosstwist.linmap import _total, unflatten
+from crosstwist.linmap import _total, _Wiring, unflatten
 
 
 def _require_same_field(*maps: LinMap):
@@ -153,6 +154,34 @@ def dense_first_difference(f: LinMap, g: LinMap):
                     f.matrix[i][j],
                     g.matrix[i][j],
                 )
+    return None
+
+
+def column_scan_map(legs, steps) -> LinMap:
+    """The composite of a wiring, each basis column pushed alone."""
+    wiring = _Wiring(legs, steps)
+    field, one = wiring.field, wiring.field.one()
+    rows = [[field.zero()] * _total(legs) for _ in range(_total(wiring.dims))]
+    for j in range(_total(legs)):
+        for i, x in wiring.push({j: one}).items():
+            rows[i][j] = x
+    return LinMap(field, legs, wiring.dims, tuple(map(tuple, rows)))
+
+
+def column_scan_first_difference(legs, lhs, rhs, column_dims=None):
+    """First (domain multi-index, codomain multi-index, lhs, rhs) where two
+    wirings on ``legs`` differ, each basis column pushed alone through both in
+    ascending flat order; the column is given over ``column_dims`` (by default
+    the legs) and the row over the left side's output dims."""
+    left = _Wiring(legs, lhs)
+    right = _Wiring(legs, rhs, left.field)
+    zero, one = left.field.zero(), left.field.one()
+    for j in range(_total(legs)):
+        got, want = left.push({j: one}), right.push({j: one})
+        if got != want:
+            i = min(y for y in got.keys() | want.keys() if got.get(y) != want.get(y))
+            col = unflatten(j, legs if column_dims is None else column_dims)
+            return col, unflatten(i, left.dims), got.get(i, zero), want.get(i, zero)
     return None
 
 

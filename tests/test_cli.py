@@ -218,8 +218,10 @@ class TestTwistCallCounts:
         inst = by_name["gauge-c2"]
         crosstwist.apply_twist(inst.data, inst.pair)
         assert call_counts["make_sigma_prime"] == 1
-        # the products of c and of c', both for phi_mult; sigma' does not build one
-        assert call_counts["crossed_mult"] == 2
+        # phi_mult pushes the products of c and of c' as steps; no product map is built
+        assert call_counts["crossed_mult"] == 0
+        crosstwist.build_crossed_product(inst.data)
+        assert call_counts["crossed_mult"] == 1
 
 
 class TestUsageErrors:
@@ -290,3 +292,44 @@ class TestUsageErrors:
         code, out, err = run_cli([command, "--input", str(path)], capsys)
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestOversizedNumbers:
+    """Python reads and writes ints of at most ``sys.get_int_max_str_digits()``
+    (by default 4300) digits; a longer literal is an input error, and a longer
+    value computed from shorter literals is still written out in full."""
+
+    @pytest.mark.parametrize(
+        "field, literal",
+        [(None, "1" * 5000 + "/1"), (None, "1/" + "1" * 5000), ("gf:5", "1" * 5000)],
+        ids=["numerator", "denominator", "gf5"],
+    )
+    def test_oversized_literal_is_input_error(self, field, literal, emitted, capsys, tmp_path):
+        raw = json.loads(emitted("gauge-c2", field).read_text())
+        raw["objects"]["crossed"]["r"]["matrix"][0][0] = literal
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(["validate", "--input", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: $.objects.crossed.r.matrix[0][0]: a number of 5000 digits is too long to read\n"
+
+    def test_oversized_json_integer_is_input_error(self, emitted, capsys, tmp_path):
+        text = emitted("gauge-c2").read_text().replace('"dim": 2', '"dim": ' + "1" * 5000, 1)
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        code, out, err = run_cli(["validate", "--input", str(path)], capsys)
+        assert code == 2 and out == "" and err.startswith("error: $: not valid JSON")
+
+    def test_failing_law_names_a_product_of_long_entries(self, emitted, capsys, tmp_path):
+        """Two sigma entries of 3000 digits each break brz4; the first difference
+        is their product, of 6000 digits, which the detail writes in full."""
+        raw = json.loads(emitted("gauge-c2").read_text())
+        sigma = raw["objects"]["crossed"]["sigma"]["matrix"]
+        sigma[0][0], sigma[1][1] = "7" * 3000 + "/1", "9" * 3000 + "/1"
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(raw))
+        for report in ("text", "json"):
+            code, out, err = run_cli(["validate", "--input", str(path), "--report", report], capsys)
+            assert code == 1 and err == ""
+            assert "[FAIL] brz4" in out if report == "text" else '"brz4"' in out
+            assert len(out) > 6000

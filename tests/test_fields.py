@@ -1,10 +1,11 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from crosstwist import CharacteristicError, FieldError, PrimeField, Rationals
-from crosstwist.fields import parse_field_spec
+from crosstwist.fields import _text, parse_field_spec
 
 
 def test_exactness_thirds():
@@ -20,6 +21,25 @@ def test_rational_parse_canonical():
     assert f.parse("0/1") == 0
     assert f.format(Fraction(5)) == "5/1"
     assert f.format(Fraction(-1, 2)) == "-1/2"
+
+
+def test_scalars_of_any_size_are_written_in_full():
+    """str() refuses ints of more than sys.get_int_max_str_digits() digits
+    (at least 640 when limited); _text and format write them as str() would
+    without the limit."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        cases = [10**5000, -(10**5000) + 7, 3 * 10**1300 + 1, 10**600, 10**599, 12, -5, 0]
+        cases += [Fraction(10**4400 + 1, 3), Fraction(-1, 10**9000 + 1), Fraction(3, 4), Fraction(10**4400)]
+        sys.set_int_max_str_digits(0)
+        want = [str(x) for x in cases]
+        wanted_format = [f"{Fraction(x).numerator}/{Fraction(x).denominator}" for x in cases]
+        sys.set_int_max_str_digits(640)
+        assert [_text(x) for x in cases] == want
+        assert [Rationals().format(x) for x in cases] == wanted_format
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert Rationals().format(Fraction(10**5000, 7)) == "1" + "0" * 5000 + "/7"
 
 
 @pytest.mark.parametrize("text", ["2/4", "1/-2", "0/3", "5", "1.5", "1/0", "--1/2", "+1/2", "-0/1", "01/1", "-03/4", "00/1"])

@@ -9,7 +9,15 @@ canonical scalars, so the maps they build without revalidation would pass
 inserted as maps on no legs among them, are checked against the
 identity-padded chain of dense products, the steps of an element acting on B
 legs against the dense expansion of its terms, and the column-by-column law
-scan against the dense scan of both full composites.  Products in tensor
+scan against the dense scan of both full composites.  The batched pushes
+(``_Wiring.to_map`` and ``first_difference``) are checked against the same
+wiring pushed one basis column at a time (``oracles.column_scan_map`` and
+``column_scan_first_difference``), on 512 and 576 columns: a single
+differing entry at each edge of the batch schedule and of its cap, several
+differences in one batch, entries that cancel within a column, opposite
+columns, element insertions and (f, None) steps, and ``phi_mult`` on a phi
+with one bumped entry against the two full product maps it once built.
+Products in tensor
 powers (up to four legs) also draw single-nonzero factors and factors whose
 terms cancel, and chained products of three to five factors are checked
 against the pairwise fold of the dense product.  The sparse columns a map is
@@ -29,6 +37,8 @@ checked against the index-sum oracles on an algebra whose structure
 constants are not 0/1.
 """
 
+import dataclasses
+import functools
 import random
 from fractions import Fraction
 from functools import partial, reduce
@@ -51,6 +61,7 @@ from crosstwist import (
     TwistingMapData,
     algebra_from_group,
     apply,
+    apply_twist,
     build_crossed_product,
     check_algebra,
     compose,
@@ -70,11 +81,15 @@ from crosstwist import (
     tensor_map,
     trivial_pair,
     twisted_tensor_product,
+    unflatten,
+    verify_twist_result,
 )
 from crosstwist.corpus import _acting
-from crosstwist.linmap import _columns, _element, _from_columns, _Wiring
+from crosstwist.linmap import _columns, _element, _from_columns, _Wiring, random_matrix_map
 from crosstwist.report import law_from_maps
 from oracles import (
+    column_scan_first_difference,
+    column_scan_map,
     dense_columns,
     dense_compose,
     dense_first_difference,
@@ -692,3 +707,172 @@ class TestTwoStepTripleProduct:
             left, right = triple_product_table(algebra)
             for (i, j, k), want in right.items():
                 assert triple.column((i * m + j) * m + k) == want == left[(i, j, k)]
+
+
+def dense_chain(legs, steps) -> LinMap:
+    """The composite of (map, lead) steps by dense products of the maps padded
+    with identities; lead None feeds a map every leg."""
+    dims, chain = tuple(legs), None
+    for f, lead in steps:
+        k = len(dims) if lead is None else len(f.domain_dims)
+        left, right = (dims[:lead], dims[lead + k :]) if lead is not None else ((), ())
+        field = f.field
+        padded = f
+        if left:
+            padded = dense_tensor_map(identity(field, left), padded)
+        if right:
+            padded = dense_tensor_map(padded, identity(field, right))
+        chain = padded if chain is None else dense_compose(padded, chain)
+        dims = left + f.codomain_dims + right
+    return reshape(chain, legs, dims)
+
+
+@functools.cache
+def late_wiring(field):
+    """Legs (4, 12, 12), so 576 basis columns: batches of 1, 2, 4, ..., 256
+    columns start at 0, 1, 3, 7, ..., 255, and the second batch at the cap starts
+    at 511 and is cut at 576.  The steps apply a map to the last two legs,
+    insert an element at lead 1 and apply a map to all legs by total (lead
+    None); entries are seeded, in -2..2 and mostly not 0/1.  Returns the legs,
+    the steps and their dense composite."""
+    rng = random.Random(f"late/{field.describe()}")
+    f = random_matrix_map(field, (12, 12), (3,), rng)
+    x = _element(field, (2,), (field.from_int(2), field.from_int(-1)))
+    g = random_matrix_map(field, (24,), (2, 5), rng)
+    legs, steps = (4, 12, 12), [(f, 1), (x, 1), (g, None)]
+    return legs, steps, dense_chain(legs, steps)
+
+
+def bumped(f: LinMap, *entries) -> LinMap:
+    """``f`` with one added to each (row, column) entry."""
+    rows = [list(r) for r in f.matrix]
+    for i, j in entries:
+        rows[i][j] = f.field.add(rows[i][j], f.field.one())
+    return LinMap(f.field, f.domain_dims, f.codomain_dims, tuple(map(tuple, rows)))
+
+
+EDGE_COLUMNS = (0, 1, 2, 3, 7, 8, 255, 256, 257, 510, 511, 575)
+
+
+class TestBatchedPushes:
+    """``_Wiring.to_map`` and ``first_difference`` push basis columns in batches;
+    they must agree with the same wiring pushed one column at a time (the
+    oracle in ``oracles``) and with the dense composite."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_to_map_matches_the_column_scan_and_the_dense_chain(self, field):
+        legs, steps, dense = late_wiring(field)
+        got = _Wiring(legs, steps).to_map()
+        assert_same(got, column_scan_map(legs, steps))
+        assert_same(got, dense_chain(legs, steps))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("j", EDGE_COLUMNS)
+    def test_single_entry_difference_at_each_batch_edge(self, field, j):
+        legs, steps, dense = late_wiring(field)
+        assert dense.domain_total == EDGE_COLUMNS[-1] + 1
+        row = j % dense.codomain_total
+        rhs = [(bumped(dense, (row, j)), None)]
+        got = _Wiring(legs, steps).first_difference(rhs)
+        assert got == column_scan_first_difference(legs, steps, rhs)
+        assert got == dense_first_difference(dense, rhs[0][0])
+        assert got[:2] == (unflatten(j, legs), unflatten(row, dense.codomain_dims))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_first_of_several_differences_in_one_batch(self, field):
+        """Bumps in the batch of columns 255..510: two rows of column 300 and a
+        row of each of two later columns; column 300 and its first row are named."""
+        legs, steps, dense = late_wiring(field)
+        rhs = [(bumped(dense, (7, 300), (2, 300), (0, 301), (1, 509)), None)]
+        got = _Wiring(legs, steps).first_difference(rhs)
+        assert got == column_scan_first_difference(legs, steps, rhs)
+        assert got[:2] == (unflatten(300, legs), (0, 2))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_entries_that_cancel_within_a_column(self, field):
+        """The left side ends in steps whose sum is the identity but whose terms
+        cancel on every zero entry of a column."""
+        legs, steps, dense = late_wiring(field)
+        lhs = steps + cancelling(field, dense.codomain_total)
+        assert_same(_Wiring(legs, lhs).to_map(), reshape(dense, legs, (dense.codomain_total,)))
+        assert _Wiring(legs, lhs).first_difference([(dense, None)]) is None
+        for j in (0, 575):
+            rhs = [(bumped(dense, (1, j)), None)]
+            got = _Wiring(legs, lhs).first_difference(rhs)
+            assert got == column_scan_first_difference(legs, lhs, rhs)
+            assert got[:2] == (unflatten(j, legs), (1,))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_opposite_columns_do_not_cancel_each_other(self, field):
+        """Column 2k + 1 is minus column 2k: in one batch each keeps its own keys."""
+        rng = random.Random(f"opposite/{field.describe()}")
+        half = random_matrix_map(field, (4,), (3,), rng)
+        cols = [c for j in range(4) for c in (half.column(j), tuple(map(field.neg, half.column(j))))]
+        f = LinMap(field, (8,), (3,), tuple(zip(*cols)))
+        assert_same(_Wiring((8,), [(f, 0)]).to_map(), f)
+        assert_same(compose(identity(field, (3,)), f), f)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_products_of_a_non_0_1_algebra_match_the_dense_chain(self, field):
+        """Products of ``half_quadratic`` (its constant 1/2 is not 0/1 over Q) on
+        nine legs, 512 columns, with the unit inserted between two of them.  The
+        last column, 511, is a batch of its own, after the one of 255..510."""
+        a = half_quadratic(field)
+        unit = _element(field, (2,), a.unit)
+        legs = (2,) * 9
+        steps = [(a.mult, 7), (a.mult, 0), (unit, 3), (a.mult, 3), (a.mult, 4), (a.mult, 1), (a.mult, 0)]
+        got = _Wiring(legs, steps).to_map()
+        assert_same(got, dense_chain(legs, steps))
+        assert_same(got, column_scan_map(legs, steps))
+        for j in (510, 511):
+            rhs = [(bumped(got, (1, j)), None)]
+            diff = _Wiring(legs, steps).first_difference(rhs)
+            assert diff == column_scan_first_difference(legs, steps, rhs)
+            assert diff[:2] == (unflatten(j, legs), unflatten(1, got.codomain_dims))
+        assert_same(tensor_map(a.mult, got), dense_tensor_map(a.mult, got))
+        square = reshape(tensor_map(a.mult, a.mult), (16,), (4,))
+        assert_same(compose(square, reshape(got, (512,), (16,))), dense_compose(square, reshape(got, (512,), (16,))))
+
+
+def c2_cubed_flip(field) -> CrossedData:
+    """k[C2^3] (x) k[C2^3] twisted by the flip: phi_mult has 64**2 = 4096 columns."""
+    c8 = algebra_from_group(tuple(tuple(i ^ j for j in range(8)) for i in range(8)), 0, field)
+    return twisted_tensor_product(TwistingMapData(c8, c8, flip(field, 8, 8)))
+
+
+def parent_phi_mult(c, result):
+    """phi_mult as built before it ran on the product steps: two full product
+    maps, compared one column at a time on phi's own legs."""
+    phi = result.phi
+    lhs = [(phi, 0), (phi, len(phi.codomain_dims)), (crossed_mult(c), None)]
+    rhs = [(crossed_mult(result.data_prime), None), (phi, None)]
+    return column_scan_first_difference(phi.domain_dims * 2, lhs, rhs)
+
+
+def phi_cases():
+    for field in FIELDS:
+        data = flip_t2_c2(field)
+        pair = random_twist_pair(data.a, data.v, random.Random(field.describe()))
+        yield pytest.param(data, pair, id=f"{field.describe()}-t2c2-random")
+        data = c2_cubed_flip(field)
+        yield pytest.param(data, trivial_pair(data.a, data.v), id=f"{field.describe()}-c8c8-trivial")
+
+
+@pytest.mark.parametrize("data, pair", phi_cases())
+@pytest.mark.parametrize("flat", [False, True], ids=["shaped", "flat"])
+def test_phi_mult_names_the_parent_column(data, pair, flat):
+    """phi with one entry bumped in its last column (or a middle one), as shaped
+    by apply_twist or relabelled (mn,) -> (mn,): phi_mult on the product steps
+    names the same column, row and values as the parent's two product maps."""
+    result = apply_twist(data, pair)
+    mn = data.a.dim * data.v.dim
+    phi = reshape(result.phi, (mn,), (mn,)) if flat else result.phi
+    for col in (mn - 1, mn // 2 + 1):
+        bad = dataclasses.replace(result, phi=bumped(phi, (col // 2, col)))
+        want = parent_phi_mult(data, bad)
+        assert want is not None
+        check = verify_twist_result(data, bad).check("phi_mult")
+        column, row, a, b = want
+        assert (check.passed, check.first_counterexample) == (False, column)
+        assert check.detail == f"lhs[{row}] = {a}, rhs[{row}] = {b} on basis input {column}"
+    assert verify_twist_result(data, dataclasses.replace(result, phi=phi)).check("phi_mult").passed
