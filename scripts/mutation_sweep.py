@@ -36,9 +36,13 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instance", default=None)
     args = parser.parse_args()
+    corpus = builtin_corpus()
+    names = [inst.name for inst in corpus]
+    if args.instance is not None and args.instance not in names:
+        parser.error(f"unknown instance {args.instance!r}; known instances: {', '.join(names)}")
 
     missed = 0
-    for inst in builtin_corpus():
+    for inst in corpus:
         if args.instance is not None and inst.name != args.instance:
             continue
         print(f"== {inst.name}")

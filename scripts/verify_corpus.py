@@ -28,7 +28,8 @@ def main():
     args = parser.parse_args()
     try:
         field = parse_field_spec(args.field)
-    except FieldError as exc:
+        corpus = builtin_corpus(field)
+    except FieldError as exc:  # also a characteristic dividing a denominator of the corpus
         parser.error(str(exc))
 
     print(f"field: {field.describe()}")
@@ -36,7 +37,7 @@ def main():
     print(header)
     print("-" * len(header))
     failures = 0
-    for inst in builtin_corpus(field):
+    for inst in corpus:
         start = time.monotonic()
         dims = f"{inst.data.a.dim}x{inst.data.v.dim}"
         brz = "ok" if check_brz_axioms(inst.data).passed else "FAIL"

@@ -107,11 +107,6 @@ def _triple(a: Algebra, lead: int) -> list:
     return [(a.mult, lead + 1), (a.mult, lead)]
 
 
-def mu2(a: Algebra) -> LinMap:
-    """The triple product A (x) A (x) A -> A; both bracketings must agree."""
-    return _Wiring((a.dim,) * 3, _triple(a, 0)).to_map()
-
-
 def algebra_from_group(
     cayley_table: Sequence[Sequence[int]],
     identity_index: int,

@@ -7,13 +7,18 @@ indexed row-major and left-associated: the pair (i, j) with 0 <= i < dim X,
 extend the same rule to the left.  With that convention the tensor product
 of maps is the Kronecker product of their matrices.
 
-The matrix is stored as dense row-major rows, and only this module knows it.
-Every map the program builds comes from sparse columns through
-``_from_columns``, and every reader of nonzeros goes through ``_columns``,
-which gives each column's nonzeros as (row, entry) with ``None`` for an
-entry equal to one.  The public constructor, ``matrix``, ``entry``,
-``column``, ``invert`` and ``random_matrix_map`` (and ``io``, ``_element``)
-are the dense boundary.
+A map stores only its nonzero entries, column by column: one tuple per
+domain basis vector in flat order, holding (row, entry) pairs in ascending
+row order, with ``None`` for an entry equal to one.  The tuples are never
+changed, so ``reshape`` and ``copy.deepcopy`` share them, and memory grows
+with the nonzeros, not with codomain x domain.  Every map the program builds
+comes from sparse columns through ``_from_columns``, and every reader of
+nonzeros goes through ``_columns``, which hands the stored pairs out
+(offset by a stride) without a scan.  The dense form is only the boundary:
+the public constructor takes dense rows, checks every entry and stores the
+columns; ``matrix`` and ``column`` rebuild dense rows and a dense column on
+every read; ``io`` writes and reads documents through them; and ``_element``
+takes an element's coordinates from outside as a one-column constructor call.
 
 Composites are written as wiring: a list of (map, lead) steps on a tensor
 product with given factor dims (its legs), where step (f, lead) applies f to
@@ -30,10 +35,10 @@ vector with each column on an extra leading leg, so the steps see a batch
 as more legs before their lead.  A map is built from one batch of all its
 columns, and two wirings are compared batch by batch, in batches of 1, 2,
 4, ... columns up to a fixed cap, stopping at the first batch that
-differs.  ``compose``, ``tensor_map`` and ``first_difference`` are single
-wirings.  ``algebra.tensor_elem_product`` splits on the first leg instead,
-so that u (x) v is never built, on Python ints: over Q with one common
-denominator per factor, over GF(p) reduced mod p once per product level.
+differs.  ``compose`` and ``first_difference`` are single wirings.
+``algebra.tensor_elem_product`` splits on the first leg instead, so that
+u (x) v is never built, on Python ints: over Q with one common denominator
+per factor, over GF(p) reduced mod p once per product level.
 
 All values are immutable after construction and every operation is a pure
 function.  Entries are validated when a map is constructed through
@@ -43,19 +48,14 @@ maps hold canonical entries and skip that check.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .fields import Field, Scalar
 
 
 class ShapeError(ValueError):
     """Dimension or factor-shape mismatch between maps or vectors."""
-
-
-class SingularMapError(ValueError):
-    """Matrix inversion requested for a singular map."""
 
 
 def unflatten(flat: int, dims: Sequence[int]) -> tuple[int, ...]:
@@ -81,39 +81,41 @@ def _total(dims: Sequence[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinMap:
-    """Exact matrix of a linear map, rows indexed by the codomain basis."""
+    """Exact matrix of a linear map, stored as its nonzero columns.
+
+    ``LinMap(field, domain_dims, codomain_dims, rows)`` takes the dense rows,
+    indexed by the codomain basis; ``__post_init__`` checks every entry
+    against the field and stores the columns.
+    """
 
     field: Field
     domain_dims: tuple[int, ...]
     codomain_dims: tuple[int, ...]
-    matrix: tuple[tuple[Scalar, ...], ...]
+    _cols: tuple  # see the module docstring
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "domain_dims", tuple(self.domain_dims))
-        object.__setattr__(self, "codomain_dims", tuple(self.codomain_dims))
+    def __init__(self, field: Field, domain_dims, codomain_dims, rows: Sequence[Sequence[Scalar]]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "domain_dims", tuple(domain_dims))
+        object.__setattr__(self, "codomain_dims", tuple(codomain_dims))
+        self.__post_init__(rows)
+
+    def __post_init__(self, rows) -> None:
         dt = _total(self.domain_dims)
         ct = _total(self.codomain_dims)
-        rows = tuple(tuple(self.field.check(x) for x in row) for row in self.matrix)
+        rows, check, one = tuple(rows), self.field.check, self.field.one()
+        cols = tuple(
+            tuple((i, None if x == one else x) for i, x in enumerate(map(check, c)) if x) for c in zip(*rows)
+        )
         if len(rows) != ct or any(len(row) != dt for row in rows):
+            for row in rows:  # a bad entry outranks a bad shape, also past the shortest row
+                tuple(map(check, row))
             raise ShapeError(
                 f"matrix shape {len(rows)}x{len(rows[0]) if rows else 0} does not match "
                 f"codomain total {ct} x domain total {dt}"
             )
-        object.__setattr__(self, "matrix", rows)
-
-    @classmethod
-    def _trusted(cls, field: Field, domain_dims, codomain_dims, matrix) -> LinMap:
-        """A map from canonical scalars in a checked shape, without revalidation."""
-        f = object.__new__(cls)
-        f.__dict__.update(
-            field=field,
-            domain_dims=tuple(domain_dims),
-            codomain_dims=tuple(codomain_dims),
-            matrix=matrix,
-        )
-        return f
+        object.__setattr__(self, "_cols", cols)
 
     @property
     def domain_total(self) -> int:
@@ -123,34 +125,44 @@ class LinMap:
     def codomain_total(self) -> int:
         return _total(self.codomain_dims)
 
-    def entry(self, row: int, col: int) -> Scalar:
-        return self.matrix[row][col]
+    @property
+    def matrix(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The dense rows, rebuilt from the columns on every read."""
+        zero, one = self.field.zero(), self.field.one()
+        rows = [[zero] * len(self._cols) for _ in range(self.codomain_total)]
+        for j, col in enumerate(self._cols):
+            for i, x in col:
+                rows[i][j] = one if x is None else x
+        return tuple(map(tuple, rows))
 
     def column(self, col: int) -> tuple[Scalar, ...]:
-        return tuple(row[col] for row in self.matrix)
+        one, out = self.field.one(), [self.field.zero()] * self.codomain_total
+        for i, x in self._cols[col]:
+            out[i] = one if x is None else x
+        return tuple(out)
+
+
+def _stored(field: Field, domain_dims, codomain_dims, cols: tuple) -> LinMap:
+    """The map holding ``cols`` as its columns, without revalidation."""
+    f = object.__new__(LinMap)
+    f.__dict__.update(field=field, domain_dims=tuple(domain_dims), codomain_dims=tuple(codomain_dims), _cols=cols)
+    return f
 
 
 def _from_columns(field: Field, domain_dims, codomain_dims, cols) -> LinMap:
     """A map from sparse columns {row: canonical nonzero}, one per domain basis
     vector in flat order, without revalidation."""
-    zero, n = field.zero(), _total(domain_dims)
-    rows = [[zero] * n for _ in range(_total(codomain_dims))]
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            rows[i][j] = x
-    return LinMap._trusted(field, domain_dims, codomain_dims, tuple(map(tuple, rows)))
+    one = field.one()
+    cols = (tuple((i, None if x == one else x) for i, x in sorted(c.items())) for c in cols)
+    return _stored(field, domain_dims, codomain_dims, tuple(cols))
 
 
-def _columns(f: LinMap, stride: int = 1) -> list[list[tuple[int, Scalar | None]]]:
+def _columns(f: LinMap, stride: int = 1) -> tuple:
     """Each column's nonzeros as (row * stride, entry), in ascending row order,
     with entry None for an entry equal to one."""
-    one = f.field.one()
-    cols = [[] for _ in range(f.domain_total)]
-    for i, row in enumerate(f.matrix):
-        for j, a in enumerate(row):
-            if a:
-                cols[j].append((i * stride, None if a == one else a))
-    return cols
+    if stride == 1:
+        return f._cols
+    return tuple(tuple((i * stride, x) for i, x in col) for col in f._cols)
 
 
 def _sparse(field: Field, v: Sequence[Scalar]) -> dict[int, Scalar]:
@@ -160,7 +172,8 @@ def _sparse(field: Field, v: Sequence[Scalar]) -> dict[int, Scalar]:
 
 def _element(field: Field, dims: Sequence[int], x: Sequence[Scalar]) -> LinMap:
     """An element x of the tensor product with factor dims ``dims`` as a map on
-    no legs, so that step (x, lead) inserts x's legs at position ``lead``."""
+    no legs, so that step (x, lead) inserts x's legs at position ``lead``.  The
+    coordinates come from outside, so the public constructor checks them."""
     return LinMap(field, (), dims, tuple((c,) for c in x))
 
 
@@ -299,11 +312,6 @@ def compose(f: LinMap, g: LinMap) -> LinMap:
     return _Wiring(g.domain_dims, [(g, 0), (f, None)]).to_map()
 
 
-def tensor_map(f: LinMap, g: LinMap) -> LinMap:
-    """Kronecker product; factor lists concatenate."""
-    return _Wiring(f.domain_dims + g.domain_dims, [(f, 0), (g, len(f.codomain_dims))]).to_map()
-
-
 def apply(f: LinMap, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Matrix-vector product, exact."""
     return _Wiring(f.domain_dims, [(f, 0)]).apply(v)
@@ -321,12 +329,12 @@ def maps_equal(f: LinMap, g: LinMap) -> bool:
 
 
 def reshape(f: LinMap, domain_dims: Sequence[int], codomain_dims: Sequence[int]) -> LinMap:
-    """Relabel the tensor factors; the flat matrix is unchanged."""
+    """Relabel the tensor factors; the flat matrix, and its stored columns, are unchanged."""
     if _total(domain_dims) != f.domain_total or _total(codomain_dims) != f.codomain_total:
         raise ShapeError(
             f"reshape to {tuple(codomain_dims)}x{tuple(domain_dims)} changes flat totals"
         )
-    return LinMap._trusted(f.field, domain_dims, codomain_dims, f.matrix)
+    return _stored(f.field, domain_dims, codomain_dims, f._cols)
 
 
 def flip(field: Field, dim_x: int, dim_y: int) -> LinMap:
@@ -334,32 +342,6 @@ def flip(field: Field, dim_x: int, dim_y: int) -> LinMap:
     one = field.one()
     cols = [{q * dim_x + p: one} for p in range(dim_x) for q in range(dim_y)]
     return _from_columns(field, (dim_x, dim_y), (dim_y, dim_x), cols)
-
-
-def invert(f: LinMap) -> LinMap:
-    """Inverse of a square map by Gauss-Jordan elimination over the field."""
-    if f.domain_total != f.codomain_total:
-        raise ShapeError("only square maps can be inverted")
-    field = f.field
-    n = f.domain_total
-    zero = field.zero()
-    a = [list(row) for row in f.matrix]
-    b = [list(row) for row in identity(field, (n,)).matrix]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != zero), None)
-        if pivot is None:
-            raise SingularMapError(f"map is singular (no pivot in column {col})")
-        a[col], a[pivot] = a[pivot], a[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        inv = field.inv(a[col][col])
-        a[col] = [field.mul(inv, x) for x in a[col]]
-        b[col] = [field.mul(inv, x) for x in b[col]]
-        for r in range(n):
-            if r != col and a[r][col] != zero:
-                factor = a[r][col]
-                a[r] = [field.sub(x, field.mul(factor, y)) for x, y in zip(a[r], a[col])]
-                b[r] = [field.sub(x, field.mul(factor, y)) for x, y in zip(b[r], b[col])]
-    return LinMap(field, f.codomain_dims, f.domain_dims, tuple(tuple(r) for r in b))
 
 
 def basis_vector(field: Field, n: int, i: int) -> tuple[Scalar, ...]:
@@ -371,17 +353,3 @@ def basis_vector(field: Field, n: int, i: int) -> tuple[Scalar, ...]:
 def kron_vec(field: Field, u: Sequence[Scalar], v: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """Coordinates of u (x) v in the row-major product basis."""
     return tuple(field.mul(field.check(a), field.check(b)) for a in u for b in v)
-
-
-def random_matrix_map(
-    field: Field,
-    domain_dims: Sequence[int],
-    codomain_dims: Sequence[int],
-    rng: random.Random,
-    entries: Iterable[int] = (-2, -1, 0, 1, 2),
-) -> LinMap:
-    """Small-integer random map; deterministic for a seeded ``rng``."""
-    pool = [field.from_int(e) for e in entries]
-    dt, ct = _total(domain_dims), _total(codomain_dims)
-    rows = tuple(tuple(rng.choice(pool) for _ in range(dt)) for _ in range(ct))
-    return LinMap(field, tuple(domain_dims), tuple(codomain_dims), rows)

@@ -14,7 +14,6 @@ certified once, as ``report`` remembers passing reports per object.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field as dc_field, replace
 
 from .algebra import Algebra, PointedSpace, _triple, check_algebra, opposite_unit_insertion
@@ -26,19 +25,7 @@ from .crossed import (
     check_twisting_map,
     twisted_tensor_product,
 )
-from .linmap import (
-    LinMap,
-    ShapeError,
-    SingularMapError,
-    _from_columns,
-    _Wiring,
-    apply,
-    compose,
-    invert,
-    kron_vec,
-    random_matrix_map,
-    reshape,
-)
+from .linmap import LinMap, ShapeError, _Wiring, apply, kron_vec, reshape
 from .report import AxiomReport, LawCheck, law_from_maps, merge
 
 
@@ -243,44 +230,3 @@ def specialize_ttp(t: TwistingMapData, star: LinMap, pair: TwistPair) -> AxiomRe
     checks.append(law_from_maps("sigma_prime_ttp", (nb, nb), [(sigma_prime, 0)], rhs))
     return AxiomReport(tuple(checks))
 
-
-def random_twist_pair(
-    a: Algebra,
-    v: PointedSpace,
-    rng: random.Random,
-    max_tries: int = 200,
-) -> TwistPair:
-    """Seeded random pair with cros1..cros3 holding by construction.
-
-    theta is drawn with small integer entries, corrected so theta(point) is
-    the inserted unit, and resampled until the induced endomorphism of
-    A (x) V is invertible; gamma is then forced to be its inverse on the
-    inserted copy of V, which makes the two induced endomorphisms mutually
-    inverse.  The remaining condition on sigma is a genuine constraint and is
-    left to the caller to test.
-    """
-    field = a.field
-    m, n = a.dim, v.dim
-    pivot = next((i for i, x in enumerate(v.point) if x != field.zero()), None)
-    if pivot is None:
-        raise ShapeError("pointed space has a zero point")
-    target = kron_vec(field, a.unit, v.point)
-    for _ in range(max_tries):
-        candidate = random_matrix_map(field, (n,), (m, n), rng)
-        cols = [list(candidate.column(j)) for j in range(n)]
-        # overwrite the pivot column so that theta(point) = 1_A (x) point
-        inv_pivot = field.inv(field.check(v.point[pivot]))
-        for i in range(m * n):
-            acc = target[i]
-            for j in range(n):
-                if j != pivot and v.point[j] != field.zero():
-                    acc = field.sub(acc, field.mul(v.point[j], cols[j][i]))
-            cols[pivot][i] = field.mul(inv_pivot, acc)
-        theta = _from_columns(field, (n,), (m, n), [{i: x for i, x in enumerate(c) if x} for c in cols])
-        try:
-            inverse = invert(phi_map(a, theta))
-        except SingularMapError:
-            continue
-        gamma = compose(inverse, opposite_unit_insertion(a, v))
-        return TwistPair(theta=theta, gamma=gamma)
-    raise RuntimeError(f"no invertible twist pair found in {max_tries} draws")

@@ -7,20 +7,31 @@ reference the wiring kernel is tested against; the dense constructions of
 the 0/1 maps and of ``MapBuilder``, kept as the reference the maps built
 from sparse columns are tested against; the wiring pushed one basis column
 at a time, kept as the reference its batched pushes are tested against; and
-small helpers that only tests use."""
+small helpers that only tests use: the Kronecker product, the triple
+product map, inversion, random maps and random twist pairs.
+
+A ``LinMap`` rebuilds its dense ``matrix`` on every read, so each oracle
+reads it once per map and indexes the copy."""
+
+import random
+from typing import Iterable
 
 from crosstwist import (
     Algebra,
     LinMap,
     MapBuilder,
+    PointedSpace,
     ShapeError,
+    TwistPair,
     compose,
     flip,
     identity,
     kron_vec,
+    opposite_unit_insertion,
+    phi_map,
     reshape,
-    tensor_map,
 )
+from crosstwist.algebra import _triple
 from crosstwist.linmap import _total, _Wiring, unflatten
 
 
@@ -120,13 +131,14 @@ def dense_tensor_map(f: LinMap, g: LinMap) -> LinMap:
     """Kronecker product; factor lists concatenate."""
     field = _require_same_field(f, g)
     gm_rows, gm_cols = g.codomain_total, g.domain_total
+    fm, gm = f.matrix, g.matrix
     rows = []
     for i in range(f.codomain_total):
         for p in range(gm_rows):
             row = []
             for j in range(f.domain_total):
-                a = f.matrix[i][j]
-                row.extend(field.mul(a, g.matrix[p][q]) for q in range(gm_cols))
+                a = fm[i][j]
+                row.extend(field.mul(a, gm[p][q]) for q in range(gm_cols))
             rows.append(tuple(row))
     return LinMap(
         field,
@@ -145,14 +157,15 @@ def dense_first_difference(f: LinMap, g: LinMap):
             f"cannot compare maps of shapes {f.codomain_total}x{f.domain_total} "
             f"and {g.codomain_total}x{g.domain_total}"
         )
+    fm, gm = f.matrix, g.matrix
     for j in range(f.domain_total):
         for i in range(f.codomain_total):
-            if f.matrix[i][j] != g.matrix[i][j]:
+            if fm[i][j] != gm[i][j]:
                 return (
                     unflatten(j, f.domain_dims),
                     unflatten(i, f.codomain_dims),
-                    f.matrix[i][j],
-                    g.matrix[i][j],
+                    fm[i][j],
+                    gm[i][j],
                 )
     return None
 
@@ -249,13 +262,13 @@ def dense_leg_action(b, elem, lead: int, legs: int) -> LinMap:
 
 
 def dense_columns(f: LinMap):
-    """Each column's nonzeros (row, entry), entry None for one, read off every
-    entry of the dense matrix."""
-    one = f.field.one()
-    return [
-        [(i, None if row[j] == one else row[j]) for i, row in enumerate(f.matrix) if row[j]]
+    """Each column's nonzeros (row, entry) as a tuple, entry None for one,
+    read off every entry of the dense matrix."""
+    one, rows = f.field.one(), f.matrix
+    return tuple(
+        tuple((i, None if row[j] == one else row[j]) for i, row in enumerate(rows) if row[j])
         for j in range(f.domain_total)
-    ]
+    )
 
 
 def dense_identity(field, dims) -> LinMap:
@@ -319,32 +332,33 @@ def dense_map_builder(field, domain_dims, codomain_dims, entries) -> LinMap:
 def naive_matmul(f: LinMap, g: LinMap) -> LinMap:
     field = f.field
     n, k, m = f.codomain_total, f.domain_total, g.domain_total
+    fm, gm = f.matrix, g.matrix
     rows = []
     for i in range(n):
         row = []
         for j in range(m):
             acc = field.zero()
             for t in range(k):
-                acc = field.add(acc, field.mul(f.matrix[i][t], g.matrix[t][j]))
+                acc = field.add(acc, field.mul(fm[i][t], gm[t][j]))
             row.append(acc)
         rows.append(tuple(row))
     return LinMap(field, g.domain_dims, f.codomain_dims, tuple(rows))
 
 
 def naive_apply(f: LinMap, v):
-    field = f.field
+    field, fm = f.field, f.matrix
     out = []
     for i in range(f.codomain_total):
         acc = field.zero()
         for j in range(f.domain_total):
-            acc = field.add(acc, field.mul(f.matrix[i][j], v[j]))
+            acc = field.add(acc, field.mul(fm[i][j], v[j]))
         out.append(acc)
     return tuple(out)
 
 
-def basis_chain_product(mult: LinMap, m: int, indices):
-    """Left-to-right product of basis elements of an algebra, as a vector."""
-    field = mult.field
+def basis_chain_product(field, mult, m: int, indices):
+    """Left-to-right product of basis elements of an algebra, as a vector;
+    ``mult`` is the dense matrix of its multiplication."""
     current = [field.zero()] * m
     current[indices[0]] = field.one()
     for nxt in indices[1:]:
@@ -353,7 +367,7 @@ def basis_chain_product(mult: LinMap, m: int, indices):
             if current[i] == field.zero():
                 continue
             for u in range(m):
-                c = mult.matrix[u][i * m + nxt]
+                c = mult[u][i * m + nxt]
                 if c != field.zero():
                     out[u] = field.add(out[u], field.mul(current[i], c))
         current = out
@@ -365,19 +379,19 @@ def triple_product_table(algebra):
     m = algebra.dim
     left = {}
     right = {}
-    field = algebra.field
+    field, mult = algebra.field, algebra.mult.matrix
     for i in range(m):
         for j in range(m):
             for k in range(m):
-                left[(i, j, k)] = basis_chain_product(algebra.mult, m, [i, j, k])
+                left[(i, j, k)] = basis_chain_product(field, mult, m, [i, j, k])
                 # right association: a_i (a_j a_k)
-                inner = basis_chain_product(algebra.mult, m, [j, k])
+                inner = basis_chain_product(field, mult, m, [j, k])
                 out = [field.zero()] * m
                 for t in range(m):
                     if inner[t] == field.zero():
                         continue
                     for u in range(m):
-                        c = algebra.mult.matrix[u][i * m + t]
+                        c = mult[u][i * m + t]
                         if c != field.zero():
                             out[u] = field.add(out[u], field.mul(inner[t], c))
                 right[(i, j, k)] = tuple(out)
@@ -390,6 +404,7 @@ def sweedler_crossed_product(c) -> LinMap:
     field = c.field
     m, n = c.a.dim, c.v.dim
     zero = field.zero()
+    r, sigma, mult = c.r.matrix, c.sigma.matrix, c.a.mult.matrix
     out = MapBuilder(field, (m, n, m, n), (m, n))
     for i in range(m):
         for j in range(n):
@@ -398,15 +413,15 @@ def sweedler_crossed_product(c) -> LinMap:
                     col = ((i * n + j) * m + k) * n + el
                     for s in range(m):
                         for t in range(n):
-                            c_r = c.r.matrix[s * n + t][j * m + k]
+                            c_r = r[s * n + t][j * m + k]
                             if c_r == zero:
                                 continue
                             for u in range(m):
                                 for x in range(n):
-                                    c_s = c.sigma.matrix[u * n + x][t * n + el]
+                                    c_s = sigma[u * n + x][t * n + el]
                                     if c_s == zero:
                                         continue
-                                    prod = basis_chain_product(c.a.mult, m, [i, s, u])
+                                    prod = basis_chain_product(field, mult, m, [i, s, u])
                                     coeff = field.mul(c_r, c_s)
                                     for w in range(m):
                                         if prod[w] != zero:
@@ -419,6 +434,7 @@ def ttp_product(t) -> LinMap:
     field = t.field
     m, n = t.a.dim, t.b.dim
     zero = field.zero()
+    r, mult_a, mult_b = t.r.matrix, t.a.mult.matrix, t.b.mult.matrix
     out = MapBuilder(field, (m, n, m, n), (m, n))
     for i in range(m):
         for j in range(n):
@@ -427,11 +443,11 @@ def ttp_product(t) -> LinMap:
                     col = ((i * n + j) * m + k) * n + el
                     for s in range(m):
                         for t2 in range(n):
-                            c_r = t.r.matrix[s * n + t2][j * m + k]
+                            c_r = r[s * n + t2][j * m + k]
                             if c_r == zero:
                                 continue
-                            prod_a = basis_chain_product(t.a.mult, m, [i, s])
-                            prod_b = basis_chain_product(t.b.mult, n, [t2, el])
+                            prod_a = basis_chain_product(field, mult_a, m, [i, s])
+                            prod_b = basis_chain_product(field, mult_b, n, [t2, el])
                             for w in range(m):
                                 if prod_a[w] == zero:
                                     continue
@@ -445,8 +461,9 @@ def ttp_product(t) -> LinMap:
     return out.build()
 
 
-def act_on_element(b, vec, helem):
-    """Extend the action linearly to an arbitrary element of H."""
+def act_on_element(b, action, vec, helem):
+    """Extend the action linearly to an arbitrary element of H; ``action`` is
+    the dense matrix of ``b.action``."""
     field = b.field
     m = b.acting_dim
     nb = b.dim
@@ -458,7 +475,7 @@ def act_on_element(b, vec, helem):
             if vec[j] == field.zero():
                 continue
             for u in range(nb):
-                c = b.action.matrix[u][j * m + q]
+                c = action[u][j * m + q]
                 if c != field.zero():
                     out[u] = field.add(out[u], field.mul(field.mul(helem[q], vec[j]), c))
     return tuple(out)
@@ -469,6 +486,7 @@ def smash_formula_product(h, b) -> LinMap:
     field = h.field
     m, nb = h.algebra.dim, b.dim
     zero = field.zero()
+    mult, action = h.algebra.mult.matrix, b.action.matrix
     out = MapBuilder(field, (m, nb, m, nb), (m, nb))
     for i in range(m):
         for j in range(nb):
@@ -485,17 +503,17 @@ def smash_formula_product(h, b) -> LinMap:
                                 continue
                             k1, k2 = dflat // m, dflat % m
                             # left leg: h_i * h_k1 * h_p
-                            left = basis_chain_product(h.algebra.mult, m, [i, k1, p])
+                            left = basis_chain_product(field, mult, m, [i, k1, p])
                             # right leg: (b_j . h_k2 h_q)(b_l . h_r)
-                            hk2q = basis_chain_product(h.algebra.mult, m, [k2, q])
+                            hk2q = basis_chain_product(field, mult, m, [k2, q])
                             bj = [field.zero()] * nb
                             bj[j] = field.one()
-                            acted1 = act_on_element(b, tuple(bj), hk2q)
+                            acted1 = act_on_element(b, action, tuple(bj), hk2q)
                             bl = [field.zero()] * nb
                             bl[el] = field.one()
                             hr = [field.zero()] * m
                             hr[r] = field.one()
-                            acted2 = act_on_element(b, tuple(bl), tuple(hr))
+                            acted2 = act_on_element(b, action, tuple(bl), tuple(hr))
                             coeff = field.mul(c_phi, c_d)
                             for x in range(nb):
                                 if acted1[x] == zero:
@@ -525,27 +543,28 @@ def sweedler_r_prime(c, t) -> LinMap:
     field = c.field
     m, n = c.a.dim, c.v.dim
     zero = field.zero()
+    theta, r, gamma, mult = t.theta.matrix, c.r.matrix, t.gamma.matrix, c.a.mult.matrix
     out = MapBuilder(field, (n, m), (m, n))
     for j in range(n):
         for k in range(m):
             col = j * m + k
             for p in range(m):
                 for q in range(n):
-                    c_theta = t.theta.matrix[p * n + q][j]
+                    c_theta = theta[p * n + q][j]
                     if c_theta == zero:
                         continue
                     for s in range(m):
                         for t2 in range(n):
-                            c_r = c.r.matrix[s * n + t2][q * m + k]
+                            c_r = r[s * n + t2][q * m + k]
                             if c_r == zero:
                                 continue
                             for u in range(m):
                                 for w in range(n):
-                                    c_gamma = t.gamma.matrix[u * n + w][t2]
+                                    c_gamma = gamma[u * n + w][t2]
                                     if c_gamma == zero:
                                         continue
                                     coeff = field.mul(field.mul(c_theta, c_r), c_gamma)
-                                    prod = basis_chain_product(c.a.mult, m, [p, s, u])
+                                    prod = basis_chain_product(field, mult, m, [p, s, u])
                                     for x in range(m):
                                         if prod[x] != zero:
                                             out.add(x * n + w, col, field.mul(coeff, prod[x]))
@@ -557,33 +576,35 @@ def sweedler_sigma_prime(c, t) -> LinMap:
     field = c.field
     m, n = c.a.dim, c.v.dim
     zero = field.zero()
+    theta, r, sigma = t.theta.matrix, c.r.matrix, c.sigma.matrix
+    gamma, mult = t.gamma.matrix, c.a.mult.matrix
     out = MapBuilder(field, (n, n), (m, n))
     for j in range(n):
         for el in range(n):
             col = j * n + el
             for p in range(m):
                 for q in range(n):
-                    c_tv = t.theta.matrix[p * n + q][j]
+                    c_tv = theta[p * n + q][j]
                     if c_tv == zero:
                         continue
                     for p2 in range(m):
                         for q2 in range(n):
-                            c_tw = t.theta.matrix[p2 * n + q2][el]
+                            c_tw = theta[p2 * n + q2][el]
                             if c_tw == zero:
                                 continue
                             for s in range(m):
                                 for t2 in range(n):
-                                    c_r = c.r.matrix[s * n + t2][q * m + p2]
+                                    c_r = r[s * n + t2][q * m + p2]
                                     if c_r == zero:
                                         continue
                                     for u in range(m):
                                         for x in range(n):
-                                            c_s = c.sigma.matrix[u * n + x][t2 * n + q2]
+                                            c_s = sigma[u * n + x][t2 * n + q2]
                                             if c_s == zero:
                                                 continue
                                             for y in range(m):
                                                 for z in range(n):
-                                                    c_g = t.gamma.matrix[y * n + z][x]
+                                                    c_g = gamma[y * n + z][x]
                                                     if c_g == zero:
                                                         continue
                                                     coeff = field.mul(
@@ -591,7 +612,7 @@ def sweedler_sigma_prime(c, t) -> LinMap:
                                                         c_g,
                                                     )
                                                     prod = basis_chain_product(
-                                                        c.a.mult, m, [p, s, u, y]
+                                                        field, mult, m, [p, s, u, y]
                                                     )
                                                     for w in range(m):
                                                         if prod[w] != zero:
@@ -601,3 +622,100 @@ def sweedler_sigma_prime(c, t) -> LinMap:
                                                                 field.mul(coeff, prod[w]),
                                                             )
     return out.build()
+
+
+class SingularMapError(ValueError):
+    """Matrix inversion requested for a singular map."""
+
+
+def tensor_map(f: LinMap, g: LinMap) -> LinMap:
+    """Kronecker product as one wiring; factor lists concatenate."""
+    return _Wiring(f.domain_dims + g.domain_dims, [(f, 0), (g, len(f.codomain_dims))]).to_map()
+
+
+def mu2(a: Algebra) -> LinMap:
+    """The triple product A (x) A (x) A -> A as a map, pushed through the two
+    ``mult`` steps of ``algebra._triple``; both bracketings must agree."""
+    return _Wiring((a.dim,) * 3, _triple(a, 0)).to_map()
+
+
+def invert(f: LinMap) -> LinMap:
+    """Inverse of a square map by Gauss-Jordan elimination over the field."""
+    if f.domain_total != f.codomain_total:
+        raise ShapeError("only square maps can be inverted")
+    field = f.field
+    n = f.domain_total
+    zero = field.zero()
+    a = [list(row) for row in f.matrix]
+    b = [list(row) for row in identity(field, (n,)).matrix]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != zero), None)
+        if pivot is None:
+            raise SingularMapError(f"map is singular (no pivot in column {col})")
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        inv = field.inv(a[col][col])
+        a[col] = [field.mul(inv, x) for x in a[col]]
+        b[col] = [field.mul(inv, x) for x in b[col]]
+        for r in range(n):
+            if r != col and a[r][col] != zero:
+                factor = a[r][col]
+                a[r] = [field.sub(x, field.mul(factor, y)) for x, y in zip(a[r], a[col])]
+                b[r] = [field.sub(x, field.mul(factor, y)) for x, y in zip(b[r], b[col])]
+    return LinMap(field, f.codomain_dims, f.domain_dims, tuple(tuple(r) for r in b))
+
+
+def random_matrix_map(
+    field,
+    domain_dims,
+    codomain_dims,
+    rng: random.Random,
+    entries: Iterable[int] = (-2, -1, 0, 1, 2),
+) -> LinMap:
+    """Small-integer random map; deterministic for a seeded ``rng``."""
+    pool = [field.from_int(e) for e in entries]
+    dt, ct = _total(domain_dims), _total(codomain_dims)
+    rows = tuple(tuple(rng.choice(pool) for _ in range(dt)) for _ in range(ct))
+    return LinMap(field, tuple(domain_dims), tuple(codomain_dims), rows)
+
+
+def random_twist_pair(
+    a: Algebra,
+    v: PointedSpace,
+    rng: random.Random,
+    max_tries: int = 200,
+) -> TwistPair:
+    """Seeded random pair with cros1..cros3 holding by construction.
+
+    theta is drawn with small integer entries, corrected so theta(point) is
+    the inserted unit, and resampled until the induced endomorphism of
+    A (x) V is invertible; gamma is then forced to be its inverse on the
+    inserted copy of V, which makes the two induced endomorphisms mutually
+    inverse.  The remaining condition on sigma is a genuine constraint and is
+    left to the caller to test.
+    """
+    field = a.field
+    m, n = a.dim, v.dim
+    pivot = next((i for i, x in enumerate(v.point) if x != field.zero()), None)
+    if pivot is None:
+        raise ShapeError("pointed space has a zero point")
+    target = kron_vec(field, a.unit, v.point)
+    for _ in range(max_tries):
+        candidate = random_matrix_map(field, (n,), (m, n), rng)
+        cols = [list(candidate.column(j)) for j in range(n)]
+        # overwrite the pivot column so that theta(point) = 1_A (x) point
+        inv_pivot = field.inv(field.check(v.point[pivot]))
+        for i in range(m * n):
+            acc = target[i]
+            for j in range(n):
+                if j != pivot and v.point[j] != field.zero():
+                    acc = field.sub(acc, field.mul(v.point[j], cols[j][i]))
+            cols[pivot][i] = field.mul(inv_pivot, acc)
+        theta = LinMap(field, (n,), (m, n), tuple(zip(*cols)))
+        try:
+            inverse = invert(phi_map(a, theta))
+        except SingularMapError:
+            continue
+        gamma = compose(inverse, opposite_unit_insertion(a, v))
+        return TwistPair(theta=theta, gamma=gamma)
+    raise RuntimeError(f"no invertible twist pair found in {max_tries} draws")

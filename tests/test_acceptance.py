@@ -27,7 +27,6 @@ from crosstwist import (
     module_algebra_twist,
     opposite_unit_insertion,
     phi_map,
-    random_twist_pair,
     smash_product_data,
     specialize_ttp,
     trivial_pair,
@@ -36,7 +35,7 @@ from crosstwist import (
 from crosstwist.cli import _instance_document
 from crosstwist.io import report_to_json, serialize
 from crosstwist.twist import check_mutual_inverse, check_pair_units
-from oracles import scale, sweedler_r_prime, sweedler_sigma_prime
+from oracles import random_twist_pair, scale, sweedler_r_prime, sweedler_sigma_prime
 from test_corpus import direct_phi
 from test_crossed import crafted_mutations
 

@@ -15,12 +15,10 @@ from crosstwist import (
     identity,
     kron_vec,
     maps_equal,
-    mu2,
     opposite_unit_insertion,
     tensor_elem_product,
-    tensor_map,
 )
-from oracles import algebra_product, basis_product, tensor_algebra, triple_product_table
+from oracles import algebra_product, basis_product, mu2, tensor_algebra, tensor_map, triple_product_table
 
 F = Rationals()
 C2 = ((0, 1), (1, 0))

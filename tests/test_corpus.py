@@ -54,7 +54,7 @@ def direct_phi(inst) -> LinMap:
     field = inst.data.field
     m, n = inst.data.a.dim, inst.data.v.dim
     builder = MapBuilder(field, (m, n), (m, n))
-    zero = field.zero()
+    zero, action = field.zero(), inst.module_algebra.action.matrix
     for flat, coeff in enumerate(inst.gauge.f):
         if coeff == zero:
             continue
@@ -63,7 +63,7 @@ def direct_phi(inst) -> LinMap:
             hk = basis_product(inst.data.a, k, p)
             for j in range(n):
                 for u in range(n):
-                    act = inst.module_algebra.action.matrix[u][j * m + q]
+                    act = action[u][j * m + q]
                     if act == zero:
                         continue
                     for s in range(m):
@@ -152,9 +152,8 @@ class TestSmashProduct:
         sigma = by_name["smash-v4-twisted"].data.sigma
         m, n = 4, 2
         nonunit_rows = [p * n + u for p in range(1, m) for u in range(n)]
-        assert any(
-            sigma.matrix[row][col] != F.zero() for row in nonunit_rows for col in range(n * n)
-        )
+        rows = sigma.matrix
+        assert any(rows[row][col] != F.zero() for row in nonunit_rows for col in range(n * n))
 
     def test_invalid_module_algebra_rejected(self):
         h = group_like_bialgebra(algebra_from_group(C2_TABLE, 0, F))

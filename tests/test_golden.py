@@ -48,9 +48,8 @@ from crosstwist import (
 )
 from crosstwist.cli import _instance_document, main
 from crosstwist.crossed import TwistingMapData, with_r
-from crosstwist.linmap import random_matrix_map
 from crosstwist.io import SpecDocument, report_to_json, serialize
-from oracles import scale, zero_map
+from oracles import random_matrix_map, scale, zero_map
 
 _SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "mutation_sweep.py"
 _spec = importlib.util.spec_from_file_location("mutation_sweep", _SWEEP)

@@ -20,10 +20,15 @@ with one bumped entry against the two full product maps it once built.
 Products in tensor
 powers (up to four legs) also draw single-nonzero factors and factors whose
 terms cancel, and chained products of three to five factors are checked
-against the pairwise fold of the dense product.  The sparse columns a map is
-read as and built from (``_columns``, ``_from_columns``) are checked against
-a dense scan, and the 0/1 maps and ``MapBuilder`` built from them against
-their dense constructions.  Products in tensor powers run on Python ints:
+against the pairwise fold of the dense product.  The sparse columns a map
+stores, is read as (``_columns``, at any stride) and is built from
+(``_from_columns``) are checked against a dense scan, and the 0/1 maps and
+``MapBuilder`` built from them against their dense constructions.  The
+public constructor, ``_from_columns`` given columns in shuffled order, a
+wiring, ``reshape`` and ``MapBuilder`` store the same columns, maps are
+equal exactly when field, dims and matrix agree, copies and reshapes share
+the stored tuples, and the constructor refuses bad rows with the same
+messages as the dense store did.  Products in tensor powers run on Python ints:
 deterministic chains over Q (a table whose common denominator is 2, with
 constants equal to one and to 1/2, and factors with mixed denominators)
 and over GF(5) and GF(2**61 - 1) (where a missed reduction would leave an
@@ -32,11 +37,12 @@ pins that such a product calls no field multiplication or addition and
 checks each factor entry once, zeros included, that a push through a 0/1
 map multiplies nothing, and that building a 0/1 map checks no entry.  The
 builders that push A's triple product as two ``mult`` steps
-(``crossed_mult``, ``make_r_prime``, ``make_sigma_prime``, ``mu2``) are
+(``crossed_mult``, ``make_r_prime``, ``make_sigma_prime``, ``oracles.mu2``) are
 checked against the index-sum oracles on an algebra whose structure
 constants are not 0/1.
 """
 
+import copy
 import dataclasses
 import functools
 import random
@@ -69,23 +75,19 @@ from crosstwist import (
     flip,
     group_like_bialgebra,
     identity,
-    invert,
     kron_vec,
     make_r_prime,
     make_sigma_prime,
     maps_equal,
-    mu2,
-    random_twist_pair,
     reshape,
     tensor_elem_product,
-    tensor_map,
     trivial_pair,
     twisted_tensor_product,
     unflatten,
     verify_twist_result,
 )
 from crosstwist.corpus import _acting
-from crosstwist.linmap import _columns, _element, _from_columns, _Wiring, random_matrix_map
+from crosstwist.linmap import _columns, _element, _from_columns, _Wiring
 from crosstwist.report import law_from_maps
 from oracles import (
     column_scan_first_difference,
@@ -102,10 +104,15 @@ from oracles import (
     dense_map_builder,
     dense_tensor_elem_product,
     dense_tensor_map,
+    invert,
+    mu2,
     naive_apply,
+    random_matrix_map,
+    random_twist_pair,
     sweedler_crossed_product,
     sweedler_r_prime,
     sweedler_sigma_prime,
+    tensor_map,
     triple_product_table,
 )
 
@@ -462,13 +469,93 @@ def test_steps_over_different_fields_are_refused():
 
 
 @SETTINGS
-@given(st.sampled_from(FIELDS).flatmap(lambda field: st.one_of(linmaps(field), linmaps(field, domain_dims=()))))
-def test_columns_match_dense_scan_and_rebuild_the_map(f):
-    cols = _columns(f)
-    assert cols == dense_columns(f)
+@given(
+    st.sampled_from(FIELDS).flatmap(lambda field: st.one_of(linmaps(field), linmaps(field, domain_dims=()))),
+    st.integers(1, 9),
+)
+def test_columns_match_dense_scan_and_rebuild_the_map(f, stride):
+    cols, dense = _columns(f), dense_columns(f)
+    assert cols == dense
+    assert _columns(f, stride) == tuple(tuple((i * stride, a) for i, a in col) for col in dense)
     one = f.field.one()
     sparse = [{i: one if a is None else a for i, a in col} for col in cols]
     assert_same(_from_columns(f.field, f.domain_dims, f.codomain_dims, sparse), f)
+
+
+@st.composite
+def same_shape_maps(draw):
+    """Two maps over one field with the same dims, and a seeded shuffler."""
+    f = draw(st.sampled_from(FIELDS).flatmap(linmaps))
+    return f, draw(linmaps(f.field, f.domain_dims, f.codomain_dims)), draw(st.randoms(use_true_random=False))
+
+
+@settings(SETTINGS, max_examples=50)
+@given(same_shape_maps())
+def test_every_builder_stores_the_same_columns(args):
+    """The public constructor, ``_from_columns`` (columns given in shuffled
+    dict order), a wiring, ``reshape`` and ``MapBuilder`` build one map; two
+    maps are equal, and hash equal, exactly when field, dims and matrix agree."""
+    f, g, rnd = args
+    field, dd, cd, rows = f.field, f.domain_dims, f.codomain_dims, f.matrix
+    entries = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+    rnd.shuffle(entries)
+    cols, builder = [{} for _ in range(f.domain_total)], MapBuilder(field, dd, cd)
+    for i, j, x in entries:
+        cols[j][i] = x
+        builder.add(i, j, x)
+    flat = reshape(f, (f.domain_total,), (f.codomain_total,))
+    for h in (
+        LinMap(field, dd, cd, rows),
+        _from_columns(field, dd, cd, cols),
+        _Wiring(dd, [(f, 0)]).to_map(),
+        reshape(flat, dd, cd),
+        builder.build(),
+    ):
+        assert h == f and hash(h) == hash(f) and h.matrix == rows
+    assert (g == f) == (g.matrix == rows)
+    assert g != f or hash(g) == hash(f)
+    assert (flat == f) == ((dd, cd) == ((f.domain_total,), (f.codomain_total,)))
+    assert hash(rows) == hash(LinMap(field, dd, cd, rows).matrix)
+
+
+def test_maps_over_different_fields_differ_with_equal_columns():
+    q, gf5 = FIELDS
+    assert _columns(identity(q, (2, 3))) == _columns(identity(gf5, (2, 3)))
+    assert identity(q, (2, 3)) != identity(gf5, (2, 3))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_copies_and_reshapes_share_the_column_storage(field):
+    """The stored columns are tuples of canonical scalars, so a deep copy (as
+    the benchmark makes of its inputs on every pass) and a reshape share them."""
+    half = field.inv(field.from_int(2))
+    f = LinMap(field, (2, 2), (3,), ((half, 0, 1, 0), (0, 0, 0, 0), (1, field.from_int(3), 0, half)))
+    g = compose(f, flip(field, 2, 2))
+    for original in (f, g):
+        for copied in (copy.deepcopy(original), copy.copy(original), reshape(original, (4,), (3, 1))):
+            assert copied._cols is original._cols
+        assert copy.deepcopy(original) == original
+
+
+SHAPE_2X2 = "does not match codomain total 2 x domain total 2"
+
+
+@pytest.mark.parametrize(
+    "field, rows, error, message",
+    [
+        (PrimeField(5), ((1, 5), (0, 1)), FieldError, "not a canonical GF(5) scalar: 5"),
+        (PrimeField(5), ((True, 0), (0, 1)), FieldError, "not a canonical GF(5) scalar: True"),
+        (Rationals(), ((Fraction(1), 0.5), (0, 1)), FieldError, "not a rational scalar: 0.5"),
+        (PrimeField(5), ((1, 0), (1,)), ShapeError, f"matrix shape 2x2 {SHAPE_2X2}"),
+        (Rationals(), ((1, 0), (1, 2), (0, 0)), ShapeError, f"matrix shape 3x2 {SHAPE_2X2}"),
+        (PrimeField(5), ((1,), (1, 0, 7)), FieldError, "not a canonical GF(5) scalar: 7"),
+    ],
+    ids=["gf5-out-of-range", "gf5-bool", "q-float", "ragged", "too-many-rows", "bad-entry-past-the-shortest-row"],
+)
+def test_constructor_refuses_bad_rows_with_the_same_messages(field, rows, error, message):
+    with pytest.raises(error) as info:
+        LinMap(field, (2,), (2,), rows)
+    assert str(info.value) == message
 
 
 S3 = sorted(permutations(range(3)))

@@ -9,21 +9,18 @@ from crosstwist import (
     LinMap,
     Rationals,
     ShapeError,
-    SingularMapError,
     apply,
     basis_vector,
     compose,
     first_difference,
     flip,
     identity,
-    invert,
     kron_vec,
     maps_equal,
     reshape,
-    tensor_map,
     unflatten,
 )
-from oracles import flat_index, naive_apply, naive_matmul, zero_map
+from oracles import SingularMapError, flat_index, invert, naive_apply, naive_matmul, tensor_map, zero_map
 
 F = Rationals()
 

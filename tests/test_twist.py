@@ -24,18 +24,24 @@ from crosstwist import (
     make_r_prime,
     make_sigma_prime,
     maps_equal,
-    mu2,
     opposite_unit_insertion,
     phi_map,
-    random_twist_pair,
     specialize_ttp,
-    tensor_map,
     trivial_pair,
     verify_twist_result,
 )
 from crosstwist.crossed import with_r
 from crosstwist.twist import check_mutual_inverse, check_pair_units
-from oracles import scale, sweedler_r_prime, sweedler_sigma_prime, zero_map
+from oracles import (
+    mu2,
+    random_matrix_map,
+    random_twist_pair,
+    scale,
+    sweedler_r_prime,
+    sweedler_sigma_prime,
+    tensor_map,
+    zero_map,
+)
 
 F = Rationals()
 C3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -290,8 +296,6 @@ class TestMutualInverseCharacterization:
 
 
 def sweedler_like_random(a, v, rng):
-    from crosstwist.linmap import random_matrix_map
-
     return random_matrix_map(a.field, (v.dim,), (a.dim, v.dim), rng)
 
 
