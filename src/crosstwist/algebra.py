@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Sequence
 
 from .fields import Field, Scalar, _text
 from .linmap import LinMap, ShapeError, _columns, _element, _from_columns, _sparse, _Wiring, basis_vector
-from .report import AxiomReport, LawCheck, _certify_once, law_from_maps
+from .report import AxiomReport, _certify_once, _run, _table
 
 
 class GroupTableError(ValueError):
@@ -74,24 +75,29 @@ class PointedSpace:
             raise ShapeError("distinguished point must be nonzero")
 
 
+def _unit_cases(a: Algebra, push, unit, left: bool):
+    """unit * e_j = e_j (``left``) or e_j * unit = e_j, as cases over j, on A, the push of
+    its compiled mult and the unit's nonzeros; only a failing case renders the product."""
+    field, m, one = a.field, a.dim, a.field.one()
+    detail = "unit * e_{j} = {got}" if left else "e_{j} * unit = {got}"
+    for j in range(m):
+        got = push({i * m + j if left else j * m + i: x for i, x in unit})
+        dense = "" if got == {j: one} else ", ".join(_text(got.get(i, field.zero())) for i in range(m))
+        yield (j,), got, {j: one}, detail.format(j=j, got=f"[{dense}]")
+
+
+_LAWS = _table(
+    assoc=lambda a, *_: ((a.dim,) * 3, [(a.mult, 0), (a.mult, 0)], [(a.mult, 1), (a.mult, 0)]),
+    unit_left=partial(_unit_cases, left=True),
+    unit_right=partial(_unit_cases, left=False),
+)
+
+
 @_certify_once
 def check_algebra(a: Algebra) -> AxiomReport:
     """Verify associativity and both unit laws; failures are data, not errors.
     A passing report is remembered per object."""
-    field, mult, m = a.field, a.mult, a.dim
-    push, unit, one = _Wiring((m, m), [(mult, 0)]).push, _sparse(field, a.unit).items(), field.one()
-
-    def unit_cases(detail, start):
-        """unit * e_j = e_j (or e_j * unit = e_j); only a failing case renders the product."""
-        for j in range(m):
-            got = push({start(i, j): x for i, x in unit})
-            dense = "" if got == {j: one} else ", ".join(_text(got.get(i, field.zero())) for i in range(m))
-            yield (j,), got, {j: one}, detail.format(j=j, got=f"[{dense}]")
-
-    checks = [law_from_maps("assoc", (m,) * 3, [(mult, 0), (mult, 0)], [(mult, 1), (mult, 0)])]
-    checks.append(LawCheck.from_vectors("unit_left", unit_cases("unit * e_{j} = {got}", lambda i, j: i * m + j)))
-    checks.append(LawCheck.from_vectors("unit_right", unit_cases("e_{j} * unit = {got}", lambda i, j: j * m + i)))
-    return AxiomReport(tuple(checks))
+    return _run(_LAWS, a, _Wiring((a.dim, a.dim), [(a.mult, 0)]).push, _sparse(a.field, a.unit).items())
 
 
 def _triple(a: Algebra, lead: int) -> list:

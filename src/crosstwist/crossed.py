@@ -3,9 +3,11 @@
 The three product conditions are exact equalities of two wirings of R, sigma
 and mu, compared in batches of basis columns; the two unit conditions push the vectors
 at the distinguished elements through R and sigma, so failure indices stay
-interpretable.  A passing ``check_twisting_map`` or ``check_brz_axioms``
-report is remembered per object (see ``report``), and the product on A (x) V
-ends in the triple product of A as two ``mult`` steps.
+interpretable.  Each checker runs its private law table (``_TWISTING_LAWS``,
+``_BRZ_LAWS``) with ``report._run``; tw3 and brz3 share one entry.  A passing
+``check_twisting_map`` or ``check_brz_axioms`` report is remembered per
+object (see ``report``), and the product on A (x) V ends in the triple
+product of A as two ``mult`` steps.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import chain
 from .algebra import Algebra, PointedSpace, _triple, check_algebra, opposite_unit_insertion
 from .fields import Field
 from .linmap import LinMap, ShapeError, _sparse, _Wiring, compose, kron_vec, reshape
-from .report import AxiomReport, LawCheck, _certify_once, law_from_maps
+from .report import AxiomReport, _certify_once, _run, _table
 
 
 class InvalidDataError(ValueError):
@@ -96,30 +98,27 @@ def _unit_slides(r: LinMap, a: Algebra, point: tuple, name: str):
     return left(), right()
 
 
-def _r_mult_law(law: str, r: LinMap, a: Algebra, n: int) -> LawCheck:
-    """R(x (x) aa') = (mu (x) id)(id (x) R)(R (x) id), on X (x) A (x) A with dim X = n."""
-    mu = a.mult
-    return law_from_maps(law, (n, a.dim, a.dim), [(mu, 1), (r, 0)], [(r, 0), (r, 1), (mu, 0)])
+def _r_mult(x, *_):
+    """tw3 and brz3: R(x (x) aa') = (mu (x) id)(id (x) R)(R (x) id), for R: X (x) A -> A (x) X."""
+    mu, r = x.a.mult, x.r
+    return r.domain_dims + (x.a.dim,), [(mu, 1), (r, 0)], [(r, 0), (r, 1), (mu, 0)]
+
+
+# tw1 and tw2 are brz1's two slides with B in place of V; check_twisting_map
+# hands over both slides, which push through one compiled wiring of R.
+_TWISTING_LAWS = _table(
+    tw1=lambda t, left, right: left,
+    tw2=lambda t, left, right: right,
+    tw3=_r_mult,
+    tw4=lambda t, *_: ((t.b.dim, t.b.dim, t.a.dim), [(t.b.mult, 0), (t.r, 0)], [(t.r, 1), (t.r, 0), (t.b.mult, 1)]),
+)
 
 
 @_certify_once
 def check_twisting_map(t: TwistingMapData) -> AxiomReport:
     """The four twisting-map conditions tw1..tw4, each as an exact identity.
-
-    tw1..tw3 are brz1 and brz3 with B in place of V.  A passing report is
-    remembered per object."""
-    left, right = _unit_slides(t.r, t.a, t.b.unit, "B")
-    nb, mu_b = t.b.dim, t.b.mult
-    return AxiomReport(
-        (
-            LawCheck.from_vectors("tw1", left),
-            LawCheck.from_vectors("tw2", right),
-            _r_mult_law("tw3", t.r, t.a, nb),
-            law_from_maps(
-                "tw4", (nb, nb, t.a.dim), [(mu_b, 0), (t.r, 0)], [(t.r, 1), (t.r, 0), (mu_b, 1)]
-            ),
-        )
-    )
+    A passing report is remembered per object."""
+    return _run(_TWISTING_LAWS, t, *_unit_slides(t.r, t.a, t.b.unit, "B"))
 
 
 def twisted_tensor_product(t: TwistingMapData) -> CrossedData:
@@ -140,41 +139,41 @@ def twisted_tensor_product(t: TwistingMapData) -> CrossedData:
     )
 
 
+def _sigma_units(c: CrossedData):
+    """brz2: sigma(1_V, v) = sigma(v, 1_V) = 1_A (x) v, as cases over v_j."""
+    n = c.v.dim
+    push = _Wiring((n, n), [(c.sigma, 0)]).push
+    one, unit = _sparse(c.field, c.v.point).items(), _sparse(c.field, c.a.unit).items()
+    for j in range(n):
+        want = {i * n + j: x for i, x in unit}
+        left = push({p * n + j: x for p, x in one})
+        yield (j,), left, want, f"sigma(1_V, v_{j}) != 1_A (x) v_{j}"
+        right = push({j * n + p: x for p, x in one})
+        yield (j,), right, want, f"sigma(v_{j}, 1_V) != 1_A (x) v_{j}"
+
+
+def _mu_sigma(c: CrossedData) -> list:
+    """mu_sigma = (mu (x) id).(id (x) sigma) on A (x) V (x) V, which ends brz4 and brz5."""
+    return [(c.sigma, 1), (c.a.mult, 0)]
+
+
+_BRZ_LAWS = _table(
+    # brz1: R(1_V (x) a) = a (x) 1_V and R(v (x) 1_A) = 1_A (x) v.
+    brz1=lambda c: chain(*_unit_slides(c.r, c.a, c.v.point, "V")),
+    brz2=_sigma_units,
+    brz3=_r_mult,
+    brz4=lambda c: ((c.v.dim,) * 3, [(c.sigma, 1), (c.r, 0)] + _mu_sigma(c), [(c.sigma, 0)] + _mu_sigma(c)),
+    brz5=lambda c: (
+        (c.v.dim, c.v.dim, c.a.dim), [(c.r, 1), (c.r, 0)] + _mu_sigma(c), [(c.sigma, 0), (c.r, 1), (c.a.mult, 0)]
+    ),
+)
+
+
 @_certify_once
 def check_brz_axioms(c: CrossedData) -> AxiomReport:
     """The five crossed-product conditions, in order, as exact equalities.
     A passing report is remembered per object."""
-    field = c.field
-    m, n = c.a.dim, c.v.dim
-    mu, r, sigma = c.a.mult, c.r, c.sigma
-
-    # brz1: R(1_V (x) a) = a (x) 1_V and R(v (x) 1_A) = 1_A (x) v.
-    checks = [LawCheck.from_vectors("brz1", chain(*_unit_slides(r, c.a, c.v.point, "V")))]
-
-    # brz2: sigma(1_V, v) = sigma(v, 1_V) = 1_A (x) v.
-    push = _Wiring((n, n), [(sigma, 0)]).push
-    one, unit = _sparse(field, c.v.point).items(), _sparse(field, c.a.unit).items()
-
-    def sigma_units():
-        for j in range(n):
-            want = {i * n + j: x for i, x in unit}
-            left = push({p * n + j: x for p, x in one})
-            yield (j,), left, want, f"sigma(1_V, v_{j}) != 1_A (x) v_{j}"
-            right = push({j * n + p: x for p, x in one})
-            yield (j,), right, want, f"sigma(v_{j}, 1_V) != 1_A (x) v_{j}"
-
-    checks.append(LawCheck.from_vectors("brz2", sigma_units()))
-    checks.append(_r_mult_law("brz3", r, c.a, n))
-
-    # brz4 and brz5 end in mu_sigma = (mu (x) id).(id (x) sigma) on A (x) V (x) V.
-    mu_sigma = [(sigma, 1), (mu, 0)]
-    checks.append(
-        law_from_maps("brz4", (n, n, n), [(sigma, 1), (r, 0)] + mu_sigma, [(sigma, 0)] + mu_sigma)
-    )
-    checks.append(
-        law_from_maps("brz5", (n, n, m), [(r, 1), (r, 0)] + mu_sigma, [(sigma, 0), (r, 1), (mu, 0)])
-    )
-    return AxiomReport(tuple(checks))
+    return _run(_BRZ_LAWS, c)
 
 
 def _product_steps(c: CrossedData) -> list:

@@ -52,12 +52,16 @@ def _text(x: Scalar) -> str:
 
 
 def _read_int(digits: str) -> int:
-    """``int(digits)``, which refuses more than ``sys.get_int_max_str_digits()``
-    digits, with a ``FieldError`` in place of its ``ValueError``."""
+    """``int(digits)`` of a matched decimal literal of any length, the inverse of ``_text``:
+    one longer than ``int`` reads (``sys.get_int_max_str_digits()``) is read in halves."""
     try:
         return int(digits)
     except ValueError:
-        raise FieldError(f"a number of {len(digits)} digits is too long to read") from None
+        if len(digits) <= _CHUNK:  # malformed, not too long
+            raise
+    sign, body = (-1, digits[1:]) if digits[0] == "-" else (1, digits)
+    low = len(body) // 2
+    return sign * (_read_int(body[:-low]) * 10**low + _read_int(body[-low:]))
 
 
 # Deterministic Miller-Rabin: the first thirteen prime bases are exact below
@@ -137,7 +141,7 @@ class Rationals:
         if not m:
             raise FieldError(f"malformed rational literal {text!r} (expected 'a/b')")
         num, den = _read_int(m.group(1)), _read_int(m.group(2))
-        if m.group(1) != str(num):  # the numerator is 0 or -?[1-9][0-9]*
+        if m.group(1) != _text(num):  # the numerator is 0 or -?[1-9][0-9]*
             raise FieldError(f"non-canonical rational literal {text!r} (leading zero or signed zero)")
         from math import gcd
 

@@ -1,5 +1,9 @@
 """Axiom-check reports: one record per law, with a deterministic first counterexample.
 
+Each checker states its laws once, in a private ordered table (``_table``)
+of law functions of the checked data, and runs it with ``_run``, the one
+place where a law's verdict is decided.  ``LAW_NAMES`` is read off the tables.
+
 ``check_algebra``, ``check_twisting_map`` and ``check_brz_axioms`` remember a
 passing report per object (``_certify_once``), so an algebra or crossed datum
 that several builders require is certified once.
@@ -16,37 +20,10 @@ from typing import Callable, Iterable, Sequence
 from .fields import _text
 from .linmap import _Wiring
 
-# Fixed vocabulary of law names used by every checker and by the interchange
-# format.  theta_mult and sigma_prime_ttp name the algebra-map and the
-# derived-cocycle checks of the twisted-tensor-product specialization.
-LAW_NAMES = frozenset(
-    {
-        "assoc",
-        "unit_left",
-        "unit_right",
-        "tw1",
-        "tw2",
-        "tw3",
-        "tw4",
-        "brz1",
-        "brz2",
-        "brz3",
-        "brz4",
-        "brz5",
-        "cros1",
-        "cros2",
-        "cros3",
-        "cros4",
-        "rel1",
-        "rel2",
-        "rel3",
-        "theta_mult",
-        "sigma_prime_ttp",
-        "phi_unital",
-        "phi_mult",
-        "phi_invertible",
-    }
-)
+# Every law function of every checker table by law name, filled as each checker
+# module builds its tables at import (see ``_table``).
+_REGISTRY: dict[str, Callable] = {}
+LAW_NAMES = _REGISTRY.keys()
 
 
 @dataclass(frozen=True)
@@ -59,20 +36,6 @@ class LawCheck:
     def __post_init__(self) -> None:
         if self.law not in LAW_NAMES:
             raise ValueError(f"unknown law name {self.law!r}")
-
-    @classmethod
-    def from_vectors(
-        cls, law: str, cases: Iterable[tuple[tuple[int, ...], Sequence, Sequence, str]]
-    ) -> LawCheck:
-        """Fail on the first case (index, got, want, detail) whose vectors differ;
-        both vectors of a case are tuples, or both sparse {flat index: nonzero}.
-
-        ``cases`` is consumed lazily, so no case after the first failure is built.
-        """
-        for index, got, want, detail in cases:
-            if got != want:
-                return cls(law, False, first_counterexample=index, detail=detail)
-        return cls(law, True)
 
 
 @dataclass(frozen=True)
@@ -129,6 +92,29 @@ def law_from_maps(law: str, legs: Sequence[int], lhs, rhs, column_dims: Sequence
 
 def merge(*parts: Iterable[LawCheck]) -> AxiomReport:
     return AxiomReport(tuple(chain.from_iterable(parts)))
+
+
+def _table(**laws: Callable) -> dict[str, Callable]:
+    """An ordered checker table {law name: law function}, registered in ``LAW_NAMES``.  A law
+    function of the data its checker hands to ``_run`` returns a map law, the tuple (legs, lhs,
+    rhs[, column_dims]) of ``law_from_maps``, or a lazy stream of cases (index, got, want, detail)."""
+    _REGISTRY.update(laws)
+    return laws
+
+
+def _run(table: dict[str, Callable], *data) -> AxiomReport:
+    """Run each law of ``table`` on ``data`` in table order, building its steps
+    or cases only then.  A stream law fails on its first case whose vectors
+    differ (both tuples, or both sparse {flat index: nonzero}); no later case is built."""
+    checks = []
+    for law, spec in table.items():
+        got = spec(*data)
+        if isinstance(got, tuple):
+            checks.append(law_from_maps(law, *got))
+        else:
+            bad = next(((index, detail) for index, lhs, rhs, detail in got if lhs != rhs), None)
+            checks.append(LawCheck(law, True) if bad is None else LawCheck(law, False, *bad))
+    return AxiomReport(tuple(checks))
 
 
 # Passing reports by (certifier, id of the certified object), each entry with

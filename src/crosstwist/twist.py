@@ -9,7 +9,10 @@ between wirings of the maps, compared in batches of basis columns; nothing
 is taken on faith from the constructions.  R', sigma' and phi_mult push the
 triple product of A as two ``mult`` steps, and phi_mult pushes both products
 as steps, so no product map is built; A and the crossed data are each
-certified once, as ``report`` remembers passing reports per object.
+certified once, as ``report`` remembers passing reports per object.  The
+laws are private tables run by ``report._run``: cros1..cros3 (reused as cros1,
+rel2 and rel3 by the specialization), cros4 (run once sigma' is built), the laws
+of phi, with a one-sided phi_invertible (see ``_PHI_LAWS``), and the specialization's.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .crossed import (
     twisted_tensor_product,
 )
 from .linmap import LinMap, ShapeError, _Wiring, apply, kron_vec, reshape
-from .report import AxiomReport, LawCheck, law_from_maps, merge
+from .report import AxiomReport, _run, _table, merge
 
 
 class TwistPreconditionError(ValueError):
@@ -86,22 +89,29 @@ def make_sigma_prime(c: CrossedData, t: TwistPair) -> LinMap:
     return _Wiring((c.v.dim, c.v.dim), steps).to_map()
 
 
-def check_pair_units(a: Algebra, v: PointedSpace, t: TwistPair) -> LawCheck:
-    """Condition cros1: theta and gamma both send 1_V to 1_A (x) 1_V."""
+def _pair_units(a: Algebra, v: PointedSpace, t: TwistPair, *_):
+    """cros1: theta and gamma both send 1_V to 1_A (x) 1_V."""
     want = kron_vec(a.field, a.unit, v.point)
-    cases = (
-        ((), apply(f, v.point), want, f"{name}(1_V) != 1_A (x) 1_V")
-        for name, f in (("theta", t.theta), ("gamma", t.gamma))
+    for name, f in (("theta", t.theta), ("gamma", t.gamma)):
+        yield (), apply(f, v.point), want, f"{name}(1_V) != 1_A (x) 1_V"
+
+
+# The pair's conditions, as functions of (A, V, pair, iota: v -> 1_A (x) v); by cros2
+# and cros3 the product of the images of theta and gamma, in either order, is iota.
+_PAIR_LAWS = _table(
+    cros1=_pair_units,
+    cros2=lambda a, v, t, iota, *_: ((v.dim,), [(t.theta, 0), (t.gamma, 1), (a.mult, 0)], [(iota, 0)]),
+    cros3=lambda a, v, t, iota, *_: ((v.dim,), [(t.gamma, 0), (t.theta, 1), (a.mult, 0)], [(iota, 0)]),
+)
+
+
+_CROS4_LAWS = _table(
+    cros4=lambda c, t, sigma_prime: (
+        (c.v.dim,) * 2,
+        [(t.gamma, 1), (c.r, 0), (t.gamma, 1), (sigma_prime, 2), (c.a.mult, 0), (c.a.mult, 0)],
+        [(c.sigma, 0), (t.gamma, 1), (c.a.mult, 0)],
     )
-    return LawCheck.from_vectors("cros1", cases)
-
-
-def check_mutual_inverse(a: Algebra, v: PointedSpace, t: TwistPair) -> tuple[LawCheck, LawCheck]:
-    """Conditions cros2 and cros3 as map equalities against the unit insertion."""
-    iota = [(opposite_unit_insertion(a, v), 0)]
-    cros2 = law_from_maps("cros2", (v.dim,), [(t.theta, 0), (t.gamma, 1), (a.mult, 0)], iota)
-    cros3 = law_from_maps("cros3", (v.dim,), [(t.gamma, 0), (t.theta, 1), (a.mult, 0)], iota)
-    return cros2, cros3
+)
 
 
 def check_twist_conditions(c: CrossedData, t: TwistPair) -> AxiomReport:
@@ -116,44 +126,41 @@ def _twist_conditions(c: CrossedData, t: TwistPair) -> tuple[AxiomReport, LinMap
         raise ShapeError(
             f"pair must map ({n},) -> ({m}, {n}); got {t.theta.domain_dims} -> {t.theta.codomain_dims}"
         )
-    checks = [check_pair_units(c.a, c.v, t)]
-    checks.extend(check_mutual_inverse(c.a, c.v, t))
-
-    # cros4 references sigma', so it is computed first.
+    pair = _run(_PAIR_LAWS, c.a, c.v, t, opposite_unit_insertion(c.a, c.v))
     sigma_prime = make_sigma_prime(c, t)
-    mu, gamma = c.a.mult, t.gamma
-    lhs = [(gamma, 1), (c.r, 0), (gamma, 1), (sigma_prime, 2), (mu, 0), (mu, 0)]
-    rhs = [(c.sigma, 0), (gamma, 1), (mu, 0)]
-    checks.append(law_from_maps("cros4", (n, n), lhs, rhs))
-    return AxiomReport(tuple(checks)), sigma_prime
+    return merge(pair.checks, _run(_CROS4_LAWS, c, t, sigma_prime).checks), sigma_prime
+
+
+def _phi_unital(c: CrossedData, result: TwistResult):
+    one = kron_vec(c.field, c.a.unit, c.v.point)
+    yield (), apply(result.phi, one), one, "phi(1 (x) 1) != 1 (x) 1"
+
+
+def _phi_mult(c: CrossedData, result: TwistResult):
+    """phi_mult on the product steps of both data; phi may come with any factor
+    list of total mn, and the column is reported on phi's own legs."""
+    m, n = c.a.dim, c.v.dim
+    square = reshape(result.phi, (m, n), (m, n))
+    lhs = [(square, 0), (square, 2)] + _product_steps(c)
+    rhs = _product_steps(result.data_prime) + [(square, 0)]
+    return (m, n, m, n), lhs, rhs, result.phi.domain_dims * 2
+
+
+# phi_invertible checks phi . phi^-1 = id only: when a report is returned, phi
+# is mn x mn (phi_mult reshapes it) and so is phi^-1 (this comparison matches
+# totals), and over a field a right inverse of a square matrix is also a left
+# inverse, so phi^-1 . phi = id adds no verdict and no counterexample.
+_PHI_LAWS = _table(
+    phi_invertible=lambda c, r: (r.phi_inverse.domain_dims, [(r.phi_inverse, 0), (r.phi, None)], []),
+    phi_unital=_phi_unital,
+    phi_mult=_phi_mult,
+)
 
 
 def verify_twist_result(c: CrossedData, result: TwistResult) -> AxiomReport:
     """Re-check a twist outcome: the five axioms for the new data plus the
     three isomorphism identities for phi against both products."""
-    field = c.field
-    checks = list(check_brz_axioms(result.data_prime).checks)
-
-    phi, phi_inverse = result.phi, result.phi_inverse
-    fwd = [(phi_inverse, 0), (phi, None)]
-    invertible = law_from_maps("phi_invertible", phi_inverse.domain_dims, fwd, [])
-    if invertible.passed:
-        bwd = [(phi, 0), (phi_inverse, None)]
-        invertible = law_from_maps("phi_invertible", phi.domain_dims, bwd, [])
-    checks.append(invertible)
-
-    one = kron_vec(field, c.a.unit, c.v.point)
-    unital = ((), apply(phi, one), one, "phi(1 (x) 1) != 1 (x) 1")
-    checks.append(LawCheck.from_vectors("phi_unital", [unital]))
-
-    # phi_mult on the product steps of both data; phi may come with any factor
-    # list of total mn, and the column is reported on phi's own legs.
-    m, n = c.a.dim, c.v.dim
-    square = reshape(phi, (m, n), (m, n))
-    lhs = [(square, 0), (square, 2)] + _product_steps(c)
-    rhs = _product_steps(result.data_prime) + [(square, 0)]
-    checks.append(law_from_maps("phi_mult", (m, n, m, n), lhs, rhs, phi.domain_dims * 2))
-    return AxiomReport(tuple(checks))
+    return merge(check_brz_axioms(result.data_prime).checks, _run(_PHI_LAWS, c, result).checks)
 
 
 def apply_twist(c: CrossedData, t: TwistPair) -> TwistResult:
@@ -186,6 +193,27 @@ def apply_twist(c: CrossedData, t: TwistPair) -> TwistResult:
     return replace(result, conclusion=conclusion)
 
 
+# The specialization's laws, as functions of (A, V = B as a pointed space, pair, iota,
+# twisting-map data, star, the twisted tensor product); rel2, rel3 are cros2, cros3.
+_TTP_LAWS = _table(
+    cros1=_pair_units,
+    theta_mult=lambda a, v, pair, iota, t, star, data: (
+        (v.dim,) * 2, [(star, 0), (pair.theta, 0)], [(pair.theta, 0), (pair.theta, 2)] + _product_steps(data)
+    ),
+    # rel1: gamma of a product, rewritten through R and the star product.
+    rel1=lambda a, v, pair, iota, t, star, data: (
+        (v.dim,) * 2,
+        [(t.b.mult, 0), (pair.gamma, 0)],
+        [(pair.gamma, 1), (t.r, 0), (pair.gamma, 1), (star, 2), (a.mult, 0)],
+    ),
+    rel2=_PAIR_LAWS["cros2"],
+    rel3=_PAIR_LAWS["cros3"],
+    sigma_prime_ttp=lambda a, v, pair, iota, t, star, data: (
+        (v.dim,) * 2, [(make_sigma_prime(data, pair), 0)], [(star, 0), (iota, 0)]
+    ),
+)
+
+
 def specialize_ttp(t: TwistingMapData, star: LinMap, pair: TwistPair) -> AxiomReport:
     """Twisted-tensor-product specialization of the twist theorem.
 
@@ -205,28 +233,4 @@ def specialize_ttp(t: TwistingMapData, star: LinMap, pair: TwistPair) -> AxiomRe
     )
 
     data = twisted_tensor_product(t)
-    theta, gamma = pair.theta, pair.gamma
-
-    checks = [check_pair_units(t.a, data.v, pair)]
-    checks.append(
-        law_from_maps(
-            "theta_mult",
-            (nb, nb),
-            [(star, 0), (theta, 0)],
-            [(theta, 0), (theta, 2)] + _product_steps(data),
-        )
-    )
-
-    # rel1: gamma of a product, rewritten through R and the star product.
-    rhs = [(gamma, 1), (t.r, 0), (gamma, 1), (star, 2), (t.a.mult, 0)]
-    checks.append(law_from_maps("rel1", (nb, nb), [(t.b.mult, 0), (gamma, 0)], rhs))
-
-    mutual = check_mutual_inverse(t.a, data.v, pair)
-    checks.extend(replace(c, law=law) for law, c in zip(("rel2", "rel3"), mutual))
-
-    iota = opposite_unit_insertion(t.a, data.v)
-    sigma_prime = make_sigma_prime(data, pair)
-    rhs = [(star, 0), (iota, 0)]
-    checks.append(law_from_maps("sigma_prime_ttp", (nb, nb), [(sigma_prime, 0)], rhs))
-    return AxiomReport(tuple(checks))
-
+    return _run(_TTP_LAWS, t.a, data.v, pair, opposite_unit_insertion(t.a, data.v), t, star, data)

@@ -6,9 +6,11 @@ and of the law scan (every entry visited, zeros included), kept as the
 reference the wiring kernel is tested against; the dense constructions of
 the 0/1 maps and of ``MapBuilder``, kept as the reference the maps built
 from sparse columns are tested against; the wiring pushed one basis column
-at a time, kept as the reference its batched pushes are tested against; and
-small helpers that only tests use: the Kronecker product, the triple
-product map, inversion, random maps and random twist pairs.
+at a time, kept as the reference its batched pushes are tested against; the
+two-sided dense ``phi_invertible``, kept as the reference the one-sided law
+is tested against; and small helpers that only tests use: the Kronecker
+product, the triple product map, inversion, random maps, random twist pairs,
+and cros1..cros3 of a pair over A and V alone, run from the twist module's table.
 
 A ``LinMap`` rebuilds its dense ``matrix`` on every read, so each oracle
 reads it once per map and indexes the copy."""
@@ -18,6 +20,7 @@ from typing import Iterable
 
 from crosstwist import (
     Algebra,
+    LawCheck,
     LinMap,
     MapBuilder,
     PointedSpace,
@@ -32,7 +35,10 @@ from crosstwist import (
     reshape,
 )
 from crosstwist.algebra import _triple
+from crosstwist.fields import _text
 from crosstwist.linmap import _total, _Wiring, unflatten
+from crosstwist.report import _run
+from crosstwist.twist import _PAIR_LAWS
 
 
 def _require_same_field(*maps: LinMap):
@@ -677,6 +683,35 @@ def random_matrix_map(
     dt, ct = _total(domain_dims), _total(codomain_dims)
     rows = tuple(tuple(rng.choice(pool) for _ in range(dt)) for _ in range(ct))
     return LinMap(field, tuple(domain_dims), tuple(codomain_dims), rows)
+
+
+def phi_invertible_oracle(phi: LinMap, phi_inverse: LinMap) -> LawCheck:
+    """phi_invertible as both dense identities: phi . phi^-1 = id on the legs of
+    phi^-1's domain, then phi^-1 . phi = id on phi's; the first one that fails
+    names its first differing (column, row) as ``law_from_maps`` does."""
+    for outer, inner in ((phi, phi_inverse), (phi_inverse, phi)):
+        diff = dense_first_difference(naive_matmul(outer, inner), dense_identity(phi.field, inner.domain_dims))
+        if diff is not None:
+            col, row, a, b = diff
+            detail = f"lhs[{row}] = {_text(a)}, rhs[{row}] = {_text(b)} on basis input {col}"
+            return LawCheck("phi_invertible", False, first_counterexample=col, detail=detail)
+    return LawCheck("phi_invertible", True)
+
+
+def pair_laws(a: Algebra, v: PointedSpace, t: TwistPair):
+    """cros1..cros3 of a pair over A and V alone, run from the twist module's table."""
+    return _run(_PAIR_LAWS, a, v, t, opposite_unit_insertion(a, v))
+
+
+def check_pair_units(a: Algebra, v: PointedSpace, t: TwistPair):
+    """Condition cros1: theta and gamma both send 1_V to 1_A (x) 1_V."""
+    return pair_laws(a, v, t).check("cros1")
+
+
+def check_mutual_inverse(a: Algebra, v: PointedSpace, t: TwistPair):
+    """Conditions cros2 and cros3 as map equalities against the unit insertion."""
+    report = pair_laws(a, v, t)
+    return report.check("cros2"), report.check("cros3")
 
 
 def random_twist_pair(

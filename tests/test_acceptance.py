@@ -34,8 +34,14 @@ from crosstwist import (
 )
 from crosstwist.cli import _instance_document
 from crosstwist.io import report_to_json, serialize
-from crosstwist.twist import check_mutual_inverse, check_pair_units
-from oracles import random_twist_pair, scale, sweedler_r_prime, sweedler_sigma_prime
+from oracles import (
+    check_mutual_inverse,
+    check_pair_units,
+    random_twist_pair,
+    scale,
+    sweedler_r_prime,
+    sweedler_sigma_prime,
+)
 from test_corpus import direct_phi
 from test_crossed import crafted_mutations
 

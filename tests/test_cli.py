@@ -6,6 +6,7 @@ import pytest
 
 import crosstwist
 from crosstwist.cli import main
+from crosstwist.fields import _text
 from crosstwist.io import SpecDocument, serialize
 
 
@@ -296,22 +297,50 @@ class TestUsageErrors:
 
 class TestOversizedNumbers:
     """Python reads and writes ints of at most ``sys.get_int_max_str_digits()``
-    (by default 4300) digits; a longer literal is an input error, and a longer
-    value computed from shorter literals is still written out in full."""
+    (by default 4300) digits; literals and values of any length are read and
+    written in full, and only an oversized JSON integer is an input error."""
 
     @pytest.mark.parametrize(
         "field, literal",
         [(None, "1" * 5000 + "/1"), (None, "1/" + "1" * 5000), ("gf:5", "1" * 5000)],
         ids=["numerator", "denominator", "gf5"],
     )
-    def test_oversized_literal_is_input_error(self, field, literal, emitted, capsys, tmp_path):
+    def test_oversized_literal_is_read_in_full(self, field, literal, emitted, capsys, tmp_path):
+        """Over Q the 5000-digit entry is read and breaks R's unit law; over
+        GF(5) it is read and refused as a literal not below 5."""
         raw = json.loads(emitted("gauge-c2", field).read_text())
         raw["objects"]["crossed"]["r"]["matrix"][0][0] = literal
         path = tmp_path / "big.json"
         path.write_text(json.dumps(raw))
         code, out, err = run_cli(["validate", "--input", str(path)], capsys)
-        assert code == 2 and out == ""
-        assert err == "error: $.objects.crossed.r.matrix[0][0]: a number of 5000 digits is too long to read\n"
+        if field:
+            assert code == 2 and out == ""
+            assert err == f"error: $.objects.crossed.r.matrix[0][0]: non-canonical GF(5) literal '{literal}' (must be < 5)\n"
+        else:
+            assert code == 1 and err == ""
+            assert "[FAIL] brz1 at basis index (0,): R(1_V (x) a_0) != a_0 (x) 1_V" in out
+
+    def test_built_product_with_long_entries_reads_back(self, capsys, tmp_path):
+        """A = k[x]/(x^2 - M) and V = k[y]/(y^2 - M) with the flip, M of 4000
+        digits: the product holds (xy)^2 = M^2, of 7999 digits, which ``build
+        --output`` writes and ``validate --input`` reads back."""
+        field, big = crosstwist.Rationals(), 10**3999 + 7
+
+        def quadratic(label):
+            mult = crosstwist.MapBuilder(field, (2, 2), (2,))
+            for col, row, value in ((0, 0, 1), (1, 1, 1), (2, 1, 1), (3, 0, big)):
+                mult.add(row, col, field.from_int(value))
+            return crosstwist.Algebra(2, mult.build(), (field.one(), field.zero()), label=label)
+
+        twisting = crosstwist.TwistingMapData(quadratic("A"), quadratic("V"), crosstwist.flip(field, 2, 2))
+        doc = SpecDocument(field=field, objects={"crossed": crosstwist.twisted_tensor_product(twisting)})
+        source, built = tmp_path / "crossed.json", tmp_path / "product.json"
+        source.write_text(serialize(doc))
+        code, _, err = run_cli(["build", "--input", str(source), "--output", str(built)], capsys)
+        assert code == 0, err
+        assert '"' + _text(big * big) + '/1"' in built.read_text()
+        code, out, err = run_cli(["validate", "--input", str(built)], capsys)
+        assert code == 0 and err == "" and "[FAIL]" not in out
 
     def test_oversized_json_integer_is_input_error(self, emitted, capsys, tmp_path):
         text = emitted("gauge-c2").read_text().replace('"dim": 2', '"dim": ' + "1" * 5000, 1)

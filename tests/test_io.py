@@ -1,13 +1,15 @@
 import copy
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from crosstwist import PrimeField, Rationals, builtin_corpus, check_brz_axioms
+from crosstwist import Algebra, MapBuilder, PrimeField, Rationals, builtin_corpus, check_brz_axioms
 from crosstwist.cli import _instance_document
-from crosstwist.io import DocumentError, parse, report_to_json, serialize
+from crosstwist.fields import _text
+from crosstwist.io import DocumentError, SpecDocument, parse, report_to_json, serialize
 
 F = Rationals()
 DATA = Path(__file__).parent / "data"
@@ -32,6 +34,18 @@ class TestRoundTrip:
         a = _instance_document(field, builtin_corpus(field)[0])
         b = _instance_document(field, builtin_corpus(field)[0])
         assert serialize(a) == serialize(b)
+
+    def test_ten_thousand_digit_entries_round_trip(self):
+        """Entries longer than ``int()`` reads or ``str()`` writes (4300 digits
+        by default) are written in full and read back to the same value."""
+        big = Fraction(-(10**9999) - 3, 10**9999 + 1)
+        mult = MapBuilder(F, (2, 2), (2,))
+        for col, row, value in ((0, 0, F.one()), (1, 1, F.one()), (2, 1, F.one()), (3, 0, big)):
+            mult.add(row, col, value)
+        doc = SpecDocument(field=F, objects={"a": Algebra(2, mult.build(), (F.one(), F.zero()))})
+        text = serialize(doc)
+        assert f'"{_text(big.numerator)}/{_text(big.denominator)}"' in text
+        assert parse(text) == doc and serialize(parse(text)) == text
 
     def test_prime_field_round_trip(self):
         gf5 = PrimeField(5)

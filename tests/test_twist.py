@@ -31,8 +31,9 @@ from crosstwist import (
     verify_twist_result,
 )
 from crosstwist.crossed import with_r
-from crosstwist.twist import check_mutual_inverse, check_pair_units
 from oracles import (
+    check_mutual_inverse,
+    check_pair_units,
     mu2,
     random_matrix_map,
     random_twist_pair,
