@@ -78,10 +78,16 @@ def format_check(c: LawCheck) -> str:
     return f"[{status}] {c.law}{where}{detail}"
 
 
-def law_from_maps(law: str, legs: Sequence[int], lhs, rhs, column_dims: Sequence[int] | None = None) -> LawCheck:
+def law_from_maps(
+    law: str, legs: Sequence[int], lhs, rhs, column_dims: Sequence[int] | None = None, reduced=None
+) -> LawCheck:
     """Compare two wirings of (map, lead) steps on ``legs``, in batches of basis
     columns; record the first bad column, as a multi-index over ``column_dims``
-    (by default the legs)."""
+    (by default the legs).  ``reduced``, if given, is a law (legs, lhs, rhs) whose
+    agreement implies this one's: it runs first, and only a difference there
+    runs the full comparison, which then decides the verdict and the column."""
+    if reduced is not None and _Wiring(reduced[0], reduced[1]).first_difference(reduced[2]) is None:
+        return LawCheck(law, True)
     diff = _Wiring(legs, lhs).first_difference(rhs, column_dims)
     if diff is None:
         return LawCheck(law, True)
@@ -97,7 +103,8 @@ def merge(*parts: Iterable[LawCheck]) -> AxiomReport:
 def _table(**laws: Callable) -> dict[str, Callable]:
     """An ordered checker table {law name: law function}, registered in ``LAW_NAMES``.  A law
     function of the data its checker hands to ``_run`` returns a map law, the tuple (legs, lhs,
-    rhs[, column_dims]) of ``law_from_maps``, or a lazy stream of cases (index, got, want, detail)."""
+    rhs[, column_dims[, reduced]]) of ``law_from_maps``, or a lazy stream of cases (index, got,
+    want, detail)."""
     _REGISTRY.update(laws)
     return laws
 

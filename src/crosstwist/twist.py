@@ -9,7 +9,12 @@ between wirings of the maps, compared in batches of basis columns; nothing
 is taken on faith from the constructions.  R', sigma' and phi_mult push the
 triple product of A as two ``mult`` steps, and phi_mult pushes both products
 as steps, so no product map is built; A and the crossed data are each
-certified once, as ``report`` remembers passing reports per object.  The
+certified once, as ``report`` remembers passing reports per object.
+phi_mult is decided on the n.m.n vectors 1_A (x) x when A passes
+``check_algebra``, c' has A's ``mult`` and phi is left A-linear: for each
+side L, the product steps end in A's triple product with leg 0 as the
+leftmost factor and A is associative, so L(e_i (x) x) = e_i.L(1_A (x) x).
+Otherwise, or if those vectors differ, the full scan decides.  The
 laws are private tables run by ``report._run``: cros1..cros3 (reused as cros1,
 rel2 and rel3 by the specialization), cros4 (run once sigma' is built), the laws
 of phi, with a one-sided phi_invertible (see ``_PHI_LAWS``), and the specialization's.
@@ -28,7 +33,7 @@ from .crossed import (
     check_twisting_map,
     twisted_tensor_product,
 )
-from .linmap import LinMap, ShapeError, _Wiring, apply, kron_vec, reshape
+from .linmap import LinMap, ShapeError, _element, _Wiring, apply, kron_vec, reshape
 from .report import AxiomReport, _run, _table, merge
 
 
@@ -138,12 +143,31 @@ def _phi_unital(c: CrossedData, result: TwistResult):
 
 def _phi_mult(c: CrossedData, result: TwistResult):
     """phi_mult on the product steps of both data; phi may come with any factor
-    list of total mn, and the column is reported on phi's own legs."""
+    list of total mn, and the column is reported on phi's own legs.
+
+    The law is first run on the n.m.n vectors 1_A (x) x only.  Let A pass
+    ``check_algebra``, let c' have A's ``mult`` and let phi be left A-linear,
+    phi(a (x) v) = a.phi(1_A (x) v).  Each side L then has L(e_i (x) x) =
+    e_i.L(1_A (x) x): the product steps of either data end in A's triple
+    product with leg 0 as the leftmost factor, so A's associativity (and, on
+    the right, 1_A as a left unit) takes e_i out in front of the product, and
+    phi, being left A-linear, takes it out in front of phi.  So agreement on
+    the vectors 1_A (x) x is agreement on every column.  If a precondition
+    fails, or those vectors tell the sides apart, the full scan decides and
+    names the column.
+    """
     m, n = c.a.dim, c.v.dim
     square = reshape(result.phi, (m, n), (m, n))
     lhs = [(square, 0), (square, 2)] + _product_steps(c)
     rhs = _product_steps(result.data_prime) + [(square, 0)]
-    return (m, n, m, n), lhs, rhs, result.phi.domain_dims * 2
+    a, unit, reduced = c.a, _element(c.field, (m,), c.a.unit), None
+    if (
+        check_algebra(a).passed
+        and result.data_prime.a.mult == a.mult
+        and _Wiring((m, n), [(square, 0)]).first_difference([(unit, 1), (square, 1), (a.mult, 0)]) is None
+    ):
+        reduced = (n, m, n), [(unit, 0)] + lhs, [(unit, 0)] + rhs
+    return (m, n, m, n), lhs, rhs, result.phi.domain_dims * 2, reduced
 
 
 # phi_invertible checks phi . phi^-1 = id only: when a report is returned, phi

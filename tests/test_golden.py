@@ -13,6 +13,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import random
 from dataclasses import fields, replace
 from pathlib import Path
@@ -28,6 +29,7 @@ from crosstwist import (
     PrimeField,
     Rationals,
     TwistPair,
+    TwistPreconditionError,
     TwistResult,
     algebra_from_group,
     apply_twist,
@@ -44,6 +46,7 @@ from crosstwist import (
     phi_map,
     reshape,
     smash_product_data,
+    specialize_ttp,
     verify_twist_result,
 )
 from crosstwist.cli import _instance_document, main
@@ -160,6 +163,47 @@ def test_mutation_reports_are_pinned(field_name):
             got[f"{field_name}/{inst.name}/inputs"] = _sha(extra)
     want = {k: v for k, v in REPORT_DIGESTS.items() if k.startswith(f"{field_name}/")}
     assert got == want
+
+
+def _ttp_outcomes(inst):
+    """(mutation, report_to_json of ``specialize_ttp``, or the refusal) for every
+    single-entry +1 bump of the star, theta and gamma of a TTP instance."""
+    t, star, pair = inst.twisting, inst.star, inst.pair
+    for name, f in (("star", star), ("theta", pair.theta), ("gamma", pair.gamma)):
+        for row in range(f.codomain_total):
+            for col in range(f.domain_total):
+                g = bump(f, row, col)
+                args = (g, pair) if name == "star" else (star, replace(pair, **{name: g}))
+                try:
+                    out = report_to_json(specialize_ttp(t, *args))
+                except TwistPreconditionError as exc:
+                    out = f"TwistPreconditionError: {exc}\n"
+                yield f"{name}[{row}][{col}]", out
+
+
+TTP_DIGESTS = {
+    "GF5/ttp-flip-c2": "654b57eeff4b8512da9cd166a4996a8ae97dc7a3b204657bc2a5e520a70d9912",
+    "GF5/ttp-star-c2": "1ab19f1d30b3fa7e8de32af5476f21ab18523566cc1a7a642f3cc9f326292935",
+    "Q/ttp-flip-c2": "654b57eeff4b8512da9cd166a4996a8ae97dc7a3b204657bc2a5e520a70d9912",
+    "Q/ttp-star-c2": "0bb0e29a9725a7181a51081bbf33ecf71abc2c0860b132651384c8b697b13f12",
+}
+
+
+@pytest.mark.parametrize("field_name", sorted(FIELDS))
+def test_failing_specialization_reports_are_pinned(field_name):
+    """The reports pin each law's verdict, first counterexample and detail; every
+    law of ``specialize_ttp`` fails on some bump, so each failing form enters."""
+    got, failing = {}, set()
+    for inst in _corpus(field_name):
+        if inst.star is None:
+            continue
+        outcomes = list(_ttp_outcomes(inst))
+        got[f"{field_name}/{inst.name}"] = _sha(f"== {name}\n{out}" for name, out in outcomes)
+        for _, out in outcomes:
+            if not out.startswith("TwistPreconditionError"):
+                failing.update(c["law_name"] for c in json.loads(out)["checks"] if not c["passed"])
+    assert got == {k: v for k, v in TTP_DIGESTS.items() if k.startswith(f"{field_name}/")}
+    assert failing == {"cros1", "theta_mult", "rel1", "rel2", "rel3", "sigma_prime_ttp"}
 
 
 def _twist_cases(corpus_q, non_associative):

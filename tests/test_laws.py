@@ -82,10 +82,17 @@ def test_every_map_law_compiles_on_the_builtin_instances(field_name):
                 assert isinstance(got, tuple) == (law in MAP_LAWS), (inst.name, law)
                 if law not in MAP_LAWS:
                     continue
-                legs, lhs, rhs, *column_dims = got
-                left = _Wiring(legs, lhs)
-                right = _Wiring(legs, rhs, left.field)
-                assert _total(left.dims) == _total(right.dims), (inst.name, law)
+                legs, lhs, rhs, *column_dims = got[:4]
+                reduced = [r for r in got[4:] if r is not None]
+                assert len(reduced) == (law == "phi_mult"), (inst.name, law)
+                for legs_, lhs_, rhs_ in [(legs, lhs, rhs), *reduced]:
+                    left = _Wiring(legs_, lhs_)
+                    right = _Wiring(legs_, rhs_, left.field)
+                    assert _total(left.dims) == _total(right.dims), (inst.name, law)
+                for legs_, lhs_, rhs_ in reduced:  # 1_A inserted before the full sides, on n.m.n columns
+                    m, n = inst.data.a.dim, inst.data.v.dim
+                    assert (legs_, lhs_[1:], rhs_[1:]) == ((n, m, n), lhs, rhs), inst.name
+                    assert lhs_[0] == rhs_[0] and lhs_[0][1] == 0 and lhs_[0][0].column(0) == inst.data.a.unit
                 assert all(_total(dims) == _total(legs) for dims in column_dims), (inst.name, law)
                 seen.add(law)
     assert seen == MAP_LAWS
